@@ -209,7 +209,7 @@ pub fn initial_per_set_congestion<M, O: RouteObserver>(
 /// counts are maintained by subtracting the paths of packets that left
 /// pending since the previous check, instead of re-walking every
 /// still-pending path each phase. Per-set pending maxima survive the
-/// decrements via a count histogram ([`SetMax`]).
+/// decrements via a count histogram (`SetMax`).
 #[derive(Default)]
 pub struct PhaseAuditScratch {
     /// Counter for (set, edge) at index `set * num_edges + edge`.

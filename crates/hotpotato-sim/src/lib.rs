@@ -25,6 +25,8 @@
 //! * [`observe`] — the [`RouteObserver`] event-sink trait (statically
 //!   zero-cost when disabled) plus concrete sinks: [`MetricsObserver`],
 //!   [`JsonlTraceObserver`], [`SectionProfiler`];
+//! * [`jsonl`] — the trace line writer: the JSONL byte format, shared
+//!   by the recorder and the trace crate's re-rendering;
 //! * [`router_api`] — the object-safe [`Router`] trait and shared
 //!   [`RouteOutcome`] every routing algorithm implements;
 //! * [`exchange`] — the double-buffered, never-blocking
@@ -35,6 +37,7 @@
 pub mod conflict;
 pub mod engine;
 pub mod exchange;
+pub mod jsonl;
 pub mod kinematics;
 pub mod observe;
 pub mod pool_core;

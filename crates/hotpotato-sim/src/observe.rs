@@ -30,6 +30,7 @@
 //! `&mut dyn RouteObserver` (see [`crate::Router`]).
 
 use crate::engine::{ExitKind, StepReport};
+use crate::jsonl;
 use crate::stats::Time;
 use leveled_net::ids::DirectedEdge;
 use leveled_net::{Level, LeveledNetwork, NodeId};
@@ -806,16 +807,6 @@ impl RouteObserver for MetricsObserver {
     }
 }
 
-fn kind_str(kind: ExitKind) -> &'static str {
-    match kind {
-        ExitKind::Advance => "adv",
-        ExitKind::Deflect { safe: true } => "def-safe",
-        ExitKind::Deflect { safe: false } => "def-free",
-        ExitKind::Oscillate => "osc",
-        ExitKind::Inject => "inj",
-    }
-}
-
 /// Per-packet lifecycle bookkeeping for phase-entry `snapshot` events
 /// (opt-in via [`JsonlTraceObserver::with_snapshots`]). Mirrors exactly
 /// what the trace verifier replays, so every emitted checkpoint is
@@ -828,18 +819,13 @@ struct SnapshotTracker {
     state: Vec<u8>,
     /// Current node per packet; meaningful only while `state == 3`.
     node: Vec<u32>,
-    moves: u64,
-    forward: u64,
-    backward: u64,
-    deflections: u64,
-    oscillations: u64,
-    trivial: u64,
+    /// Cumulative counters and the frontier-set count.
+    totals: jsonl::SnapshotTotals,
     /// Edges crossed forward in the step being built.
     cur_forward: Vec<u32>,
     /// Edges crossed forward in the last completed step (the
     /// safe-deflection recycling pool a seeded verifier needs).
     prev_forward: Vec<u32>,
-    num_sets: u32,
 }
 
 impl SnapshotTracker {
@@ -849,15 +835,9 @@ impl SnapshotTracker {
             net: problem.network_arc(),
             state: vec![0; n],
             node: vec![0; n],
-            moves: 0,
-            forward: 0,
-            backward: 0,
-            deflections: 0,
-            oscillations: 0,
-            trivial: 0,
+            totals: jsonl::SnapshotTotals::default(),
             cur_forward: Vec::new(),
             prev_forward: Vec::new(),
-            num_sets: 0,
         }
     }
 
@@ -866,62 +846,39 @@ impl SnapshotTracker {
         let p = pkt as usize;
         self.state[p] = 3;
         self.node[p] = self.net.move_target(mv).0;
-        self.moves += 1;
+        let totals = &mut self.totals;
+        totals.moves += 1;
         match mv.dir {
             leveled_net::Direction::Forward => {
-                self.forward += 1;
+                totals.forward += 1;
                 self.cur_forward.push(mv.edge.0);
             }
-            leveled_net::Direction::Backward => self.backward += 1,
+            leveled_net::Direction::Backward => totals.backward += 1,
         }
         match kind {
-            ExitKind::Deflect { .. } => self.deflections += 1,
-            ExitKind::Oscillate => self.oscillations += 1,
+            ExitKind::Deflect { .. } => totals.deflections += 1,
+            ExitKind::Oscillate => totals.oscillations += 1,
             _ => {}
         }
     }
 
-    /// Renders the checkpoint line, byte-identical to the trace crate's
-    /// canonical `snapshot` rendering.
-    fn snapshot_line(&self, phase: u64, t: Time) -> String {
-        use std::fmt::Write as _;
-        let mut line = format!("{{\"ev\":\"snapshot\",\"phase\":{phase},\"t\":{t},\"state\":[");
-        for (i, s) in self.state.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{s}");
-        }
-        line.push_str("],\"nodes\":[");
-        let mut first = true;
-        for p in 0..self.state.len() {
-            if self.state[p] == 3 {
-                if !first {
-                    line.push(',');
-                }
-                first = false;
-                let _ = write!(line, "{}", self.node[p]);
-            }
-        }
-        line.push_str("],\"prev_forward\":[");
-        for (i, e) in self.prev_forward.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{e}");
-        }
-        let _ = write!(
-            line,
-            "],\"moves\":{},\"forward\":{},\"backward\":{},\"deflections\":{},\"oscillations\":{},\"trivial\":{},\"num_sets\":{}}}",
-            self.moves,
-            self.forward,
-            self.backward,
-            self.deflections,
-            self.oscillations,
-            self.trivial,
-            self.num_sets,
+    /// Appends the checkpoint line.
+    fn snapshot_line(&self, out: &mut Vec<u8>, phase: u64, t: Time) {
+        let in_flight = self
+            .state
+            .iter()
+            .zip(&self.node)
+            .filter(|&(&s, _)| s == 3)
+            .map(|(_, &n)| n);
+        jsonl::snapshot_line(
+            out,
+            phase,
+            t,
+            self.state.iter().map(|&s| u32::from(s)),
+            in_flight,
+            &self.prev_forward,
+            &self.totals,
         );
-        line
     }
 }
 
@@ -929,7 +886,8 @@ impl SnapshotTracker {
 /// writer. Events carry an `"ev"` discriminator (`move`, `trivial`,
 /// `deliver`, `step`, `sets`, `phase_start`, `phase_end`, `frontier`,
 /// `congestion`, `section`, and — with
-/// [`JsonlTraceObserver::with_snapshots`] — `snapshot`).
+/// [`JsonlTraceObserver::with_snapshots`] — `snapshot`). The bytes of
+/// each line come from the [`jsonl`] writer.
 ///
 /// Lines accumulate in an internal sized buffer that drains to the
 /// writer only when full and at phase/quiesce boundaries
@@ -998,14 +956,17 @@ impl<W: Write> JsonlTraceObserver<W> {
         self.buf.clear();
     }
 
+    /// Appends one line: `write` renders it into the buffer, then the
+    /// newline follows. Rendering into a `Vec` is infallible; I/O errors
+    /// can only surface when the buffer drains.
     // lint: hot-path
-    fn line(&mut self, args: std::fmt::Arguments<'_>) {
+    #[inline]
+    fn line(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
         if self.err.is_some() {
             return;
         }
-        // Formatting into a Vec is infallible; I/O errors can only
-        // surface when the buffer drains.
-        let _ = self.buf.write_fmt(args);
+        write(&mut self.buf);
+        self.buf.push(b'\n');
         if self.buf.len() >= TRACE_BUF_CAP {
             self.flush_buf();
         }
@@ -1017,34 +978,22 @@ impl<W: Write> RouteObserver for JsonlTraceObserver<W> {
         if let Some(tr) = &mut self.snap {
             tr.on_move(pkt, mv, kind);
         }
-        let dir = match mv.dir {
-            leveled_net::Direction::Forward => "F",
-            leveled_net::Direction::Backward => "B",
-        };
-        self.line(format_args!(
-            "{{\"ev\":\"move\",\"t\":{t},\"pkt\":{pkt},\"edge\":{},\"dir\":\"{dir}\",\"kind\":\"{}\"}}\n",
-            mv.edge.0,
-            kind_str(kind),
-        ));
+        self.line(|out| jsonl::move_line(out, t, pkt, mv.edge.0, mv.dir, kind));
     }
 
     fn on_trivial(&mut self, t: Time, pkt: u32) {
         if let Some(tr) = &mut self.snap {
             tr.state[pkt as usize] = 4;
-            tr.trivial += 1;
+            tr.totals.trivial += 1;
         }
-        self.line(format_args!(
-            "{{\"ev\":\"trivial\",\"t\":{t},\"pkt\":{pkt}}}\n"
-        ));
+        self.line(|out| jsonl::trivial_line(out, t, pkt));
     }
 
     fn on_deliver(&mut self, t: Time, pkt: u32) {
         if let Some(tr) = &mut self.snap {
             tr.state[pkt as usize] = 4;
         }
-        self.line(format_args!(
-            "{{\"ev\":\"deliver\",\"t\":{t},\"pkt\":{pkt}}}\n"
-        ));
+        self.line(|out| jsonl::deliver_line(out, t, pkt));
     }
 
     fn on_step_end(&mut self, t: Time, report: &StepReport, active: usize) {
@@ -1052,15 +1001,17 @@ impl<W: Write> RouteObserver for JsonlTraceObserver<W> {
             std::mem::swap(&mut tr.prev_forward, &mut tr.cur_forward);
             tr.cur_forward.clear();
         }
-        self.line(format_args!(
-            "{{\"ev\":\"step\",\"t\":{t},\"moved\":{},\"absorbed\":{},\"injected\":{},\"deflections\":{},\"fallback\":{},\"oscillations\":{},\"active\":{active}}}\n",
+        let counts = [
             report.moved,
             report.absorbed,
             report.injected,
             report.deflections,
             report.fallback_deflections,
             report.oscillations,
-        ));
+            active,
+        ]
+        .map(|c| c as u64);
+        self.line(|out| jsonl::step_line(out, t, counts));
     }
 
     // lint: panics-by-design(dense-index invariant surface: packet/node ids are
@@ -1070,9 +1021,7 @@ impl<W: Write> RouteObserver for JsonlTraceObserver<W> {
         if let Some(tr) = &mut self.snap {
             tr.state[pkt as usize] = 1;
         }
-        self.line(format_args!(
-            "{{\"ev\":\"arrival\",\"t\":{t},\"pkt\":{pkt}}}\n"
-        ));
+        self.line(|out| jsonl::arrival_line(out, t, pkt));
     }
 
     // lint: panics-by-design(dense-index invariant surface: packet/node ids are
@@ -1082,65 +1031,41 @@ impl<W: Write> RouteObserver for JsonlTraceObserver<W> {
         if let Some(tr) = &mut self.snap {
             tr.state[pkt as usize] = 2;
         }
-        self.line(format_args!(
-            "{{\"ev\":\"drop\",\"t\":{t},\"pkt\":{pkt}}}\n"
-        ));
+        self.line(|out| jsonl::drop_line(out, t, pkt));
     }
 
     fn on_sets_assigned(&mut self, sets: &[u32], num_sets: u32) {
         if let Some(tr) = &mut self.snap {
-            tr.num_sets = num_sets;
+            tr.totals.num_sets = num_sets;
         }
-        if self.err.is_some() {
-            return;
-        }
-        let mut line = format!("{{\"ev\":\"sets\",\"num_sets\":{num_sets},\"sets\":[");
-        for (i, s) in sets.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&s.to_string());
-        }
-        line.push_str("]}\n");
-        self.line(format_args!("{line}"));
+        self.line(|out| jsonl::sets_line(out, num_sets, sets));
     }
 
     fn on_phase_start(&mut self, phase: u64, t: Time) {
-        self.line(format_args!(
-            "{{\"ev\":\"phase_start\",\"phase\":{phase},\"t\":{t}}}\n"
-        ));
-        if let Some(tr) = &self.snap {
-            let snap_line = tr.snapshot_line(phase, t);
-            self.line(format_args!("{snap_line}\n"));
+        self.line(|out| jsonl::phase_start_line(out, phase, t));
+        if let Some(tr) = self.snap.take() {
+            self.line(|out| tr.snapshot_line(out, phase, t));
+            self.snap = Some(tr);
         }
     }
 
     fn on_phase_end(&mut self, phase: u64, t: Time) {
-        self.line(format_args!(
-            "{{\"ev\":\"phase_end\",\"phase\":{phase},\"t\":{t}}}\n"
-        ));
+        self.line(|out| jsonl::phase_end_line(out, phase, t));
         // Phase boundary: drain the buffer so a crashed or killed run
         // leaves at most one phase of events unwritten.
         self.flush_buf();
     }
 
     fn on_frontier(&mut self, phase: u64, set: u32, frontier: i64) {
-        self.line(format_args!(
-            "{{\"ev\":\"frontier\",\"phase\":{phase},\"set\":{set},\"frontier\":{frontier}}}\n"
-        ));
+        self.line(|out| jsonl::frontier_line(out, phase, set, frontier));
     }
 
     fn on_set_congestion(&mut self, phase: u64, set: u32, congestion: u32, initial: u32) {
-        self.line(format_args!(
-            "{{\"ev\":\"congestion\",\"phase\":{phase},\"set\":{set},\"congestion\":{congestion},\"initial\":{initial}}}\n"
-        ));
+        self.line(|out| jsonl::congestion_line(out, phase, set, congestion, initial));
     }
 
     fn on_section(&mut self, section: Section, nanos: u64) {
-        self.line(format_args!(
-            "{{\"ev\":\"section\",\"section\":\"{}\",\"nanos\":{nanos}}}\n",
-            section.name(),
-        ));
+        self.line(|out| jsonl::section_line(out, section.name(), nanos));
     }
 }
 

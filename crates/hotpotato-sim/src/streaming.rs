@@ -199,6 +199,7 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let mut dropped = 0u64;
     let mut peak_deferred = 0usize;
     let mut peak_in_flight = 0usize;
+    let mut total_moves = 0u64;
 
     let mut arrivals_buf: Vec<u32> = Vec::new();
     let mut contenders: Vec<Contender> = Vec::new();
@@ -321,7 +322,8 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         });
 
         // lint: allow-panic(engine invariant: pass 1 staged an exit for every occupied node)
-        sim.finish_step().expect("all arrivals staged");
+        let report = sim.finish_step().expect("all arrivals staged");
+        total_moves += report.moved as u64;
         peak_in_flight = peak_in_flight.max(sim.active_count());
     }
 
@@ -329,6 +331,7 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let (mut stats, record) = sim.into_parts();
     stats.bump_by("arrivals", arrivals);
     stats.bump_by("admitted", admitted);
+    stats.counters.insert("moves", total_moves);
     StreamingOutcome {
         stats,
         record,
@@ -375,6 +378,25 @@ mod tests {
         for (i, inj) in out.stats.injected_at.iter().enumerate() {
             assert!(inj.unwrap() >= schedule[i], "packet {i} injected early");
         }
+    }
+
+    #[test]
+    fn moves_counter_matches_per_packet_flight_times() {
+        // Bufferless: a packet moves on every step from its injection to
+        // its delivery, so the drained run's move count is the sum of
+        // the packets' flight times.
+        let (prob, schedule, mut rng) = poisson_instance(40, 2.0, 4);
+        let out = route_streaming(&prob, &schedule, &StreamingConfig::default(), &mut rng);
+        assert!(out.drained && out.stats.all_delivered());
+        let flight: u64 = out
+            .stats
+            .injected_at
+            .iter()
+            .zip(&out.stats.delivered_at)
+            .map(|(i, d)| d.unwrap() - i.unwrap())
+            .sum();
+        assert!(flight > 0);
+        assert_eq!(out.stats.counter("moves"), flight);
     }
 
     #[test]

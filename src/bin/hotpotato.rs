@@ -919,12 +919,12 @@ fn cmd_trace(args: &[String]) -> i32 {
             let (out_bytes, direction) = if hotpotato_trace::is_binary(&bytes) {
                 match hotpotato_trace::decode_trace(&bytes) {
                     Ok(trace) => {
-                        let mut text = String::new();
+                        let mut text = Vec::new();
                         for ev in &trace.events {
-                            text.push_str(&schema::event_line(ev));
-                            text.push('\n');
+                            schema::write_event(&mut text, ev);
+                            text.push(b'\n');
                         }
-                        (text.into_bytes(), "binary -> jsonl")
+                        (text, "binary -> jsonl")
                     }
                     Err(e) => {
                         eprintln!("error: {input}: {e}");
