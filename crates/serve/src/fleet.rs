@@ -32,12 +32,13 @@ use hotpotato_sim::{
     SnapshotPublisher, SnapshotReader, StreamPriority, StreamingConfig,
 };
 use hotpotato_trace::fleet::{FleetAggregator, FleetSample, RATIO_BUCKET_BOUNDS};
-use hotpotato_trace::{analyze, schema, verify_trace, Trace};
+use hotpotato_trace::{analyze, schema, verify_trace, Trace, TraceEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing_core::spec::RunSpec;
 use routing_core::RoutingProblem;
 use serde_json::json;
+use std::cell::RefCell;
 use std::io::Write as _;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -136,9 +137,9 @@ pub fn run_fleet_spec(spec: &RunSpec, verify: bool) -> Result<FleetSample, Strin
         congestion: u64::from(problem.congestion()),
         dilation: u64::from(problem.dilation()),
     };
-    let mut buf: Vec<u8> = Vec::new();
-    writeln!(buf, "{}", schema::meta_line(&meta)).expect("vec sink");
-    let mut obs = JsonlTraceObserver::with_snapshots(buf, &problem);
+    let EnvelopeBuffers { mut text, events } = EnvelopeBuffers::take();
+    writeln!(text, "{}", schema::meta_line(&meta)).expect("vec sink");
+    let mut obs = JsonlTraceObserver::with_snapshots(text, &problem);
     let stats = match spec.arrival_process()? {
         Some(process) => {
             let schedule = process.schedule(problem.num_packets(), &mut rng);
@@ -153,7 +154,7 @@ pub fn run_fleet_spec(spec: &RunSpec, verify: bool) -> Result<FleetSample, Strin
             router.route(&problem, &mut rng, &mut obs).stats
         }
     };
-    seal_envelope(obs, &stats, verify)
+    seal_envelope(obs, events, &stats, verify)
 }
 
 /// Executes one run of an explicit router on a fixed instance through
@@ -183,11 +184,11 @@ pub fn run_fleet_router(
         dilation: u64::from(problem.dilation()),
     };
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut buf: Vec<u8> = Vec::new();
-    writeln!(buf, "{}", schema::meta_line(&meta)).expect("vec sink");
-    let mut obs = JsonlTraceObserver::with_snapshots(buf, problem);
+    let EnvelopeBuffers { mut text, events } = EnvelopeBuffers::take();
+    writeln!(text, "{}", schema::meta_line(&meta)).expect("vec sink");
+    let mut obs = JsonlTraceObserver::with_snapshots(text, problem);
     let stats = router.route(problem, &mut rng, &mut obs).stats;
-    seal_envelope(obs, &stats, verify)
+    seal_envelope(obs, events, &stats, verify)
 }
 
 /// The shared envelope tail: closes the trace sink, appends the stats
@@ -199,13 +200,14 @@ pub fn run_fleet_router(
 /// bufferless laws.
 fn seal_envelope(
     obs: JsonlTraceObserver<Vec<u8>>,
+    events: Vec<TraceEvent>,
     stats: &RouteStats,
     verify: bool,
 ) -> Result<FleetSample, String> {
     let mut buf = obs.finish().map_err(|e| format!("trace sink: {e}"))?;
     writeln!(buf, "{}", schema::stats_line(stats)).expect("vec sink");
     let text = String::from_utf8(buf).map_err(|_| "trace is not UTF-8".to_string())?;
-    let trace = Trace::parse(&text).map_err(|e| format!("trace parse: {e}"))?;
+    let trace = Trace::parse_with(&text, events).map_err(|e| format!("trace parse: {e}"))?;
     let audited = stats
         .counters
         .get("invariant_violations")
@@ -221,7 +223,54 @@ fn seal_envelope(
             0
         };
     let analysis = analyze(&trace);
-    FleetSample::from_trace(&trace, &analysis, violations)
+    let sample = FleetSample::from_trace(&trace, &analysis, violations);
+    EnvelopeBuffers {
+        text: text.into_bytes(),
+        events: trace.events,
+    }
+    .keep();
+    sample
+}
+
+/// The envelope's two large buffers: the JSONL bytes and the parsed
+/// events. Each thread keeps the last run's pair, emptied, for its next
+/// run. Allocated afresh per run, they would be the last memory freed,
+/// so the allocator would return the whole run's heap to the system and
+/// the next run would fault it back in page by page: a sizeable,
+/// host-dependent share of a run whose parse is fast.
+#[derive(Default)]
+struct EnvelopeBuffers {
+    text: Vec<u8>,
+    events: Vec<TraceEvent>,
+}
+
+/// A kept buffer larger than this is released instead, so that one huge
+/// run does not pin its memory on a worker thread for good.
+const KEEP_BYTES: usize = 32 << 20;
+
+thread_local! {
+    static ENVELOPE_BUFFERS: RefCell<EnvelopeBuffers> = RefCell::default();
+}
+
+impl EnvelopeBuffers {
+    /// This thread's kept buffers (empty ones on its first run).
+    fn take() -> EnvelopeBuffers {
+        ENVELOPE_BUFFERS.with_borrow_mut(std::mem::take)
+    }
+
+    /// Empties the buffers and keeps those within [`KEEP_BYTES`] for this
+    /// thread's next run.
+    fn keep(mut self) {
+        self.text.clear();
+        self.events.clear();
+        if self.text.capacity() > KEEP_BYTES {
+            self.text = Vec::new();
+        }
+        if self.events.capacity() * std::mem::size_of::<TraceEvent>() > KEEP_BYTES {
+            self.events = Vec::new();
+        }
+        ENVELOPE_BUFFERS.set(self);
+    }
 }
 
 /// What a worker reports back to the coordinator.
@@ -673,6 +722,30 @@ mod tests {
         assert!(sample.ratio_cl() > 0.0);
         // Deterministic: the same spec yields the identical sample.
         assert_eq!(run_fleet_spec(&spec, false).unwrap(), sample);
+    }
+
+    #[test]
+    fn kept_envelope_buffers_do_not_change_samples() {
+        let big = routing_core::spec::parse_run_spec("bf:6/bitrev/busch/3").unwrap();
+        let small = routing_core::spec::parse_run_spec("bf:4/bitrev/busch/5").unwrap();
+        let fresh = std::thread::spawn({
+            let small = small.clone();
+            move || run_fleet_spec(&small, true)
+        })
+        .join()
+        .unwrap()
+        .unwrap();
+        let first = run_fleet_spec(&big, true).unwrap();
+        let kept = ENVELOPE_BUFFERS.with_borrow(|b| {
+            assert!(b.text.is_empty() && b.events.is_empty());
+            (b.text.capacity(), b.events.capacity())
+        });
+        assert!(kept.0 > 0 && kept.1 > 0);
+        // A smaller run in the larger run's buffers, then the larger again.
+        assert_eq!(run_fleet_spec(&small, true).unwrap(), fresh);
+        assert_eq!(run_fleet_spec(&big, true).unwrap(), first);
+        let again = ENVELOPE_BUFFERS.with_borrow(|b| (b.text.capacity(), b.events.capacity()));
+        assert_eq!(again, kept);
     }
 
     #[test]
