@@ -15,12 +15,16 @@
 //! HOTPOTATO_BLESS=1 cargo test --test golden_equivalence
 //! ```
 
-use busch_router::{BuschConfig, BuschRouter, Params};
-use hotpotato_sim::{ExitKind, RouteStats, RunRecord};
+use busch_router::{BuschConfig, BuschOutcome, BuschRouter, EngineKind, Params};
+use hotpotato_sim::{
+    route_streaming_observed, AdmissionControl, ExitKind, JsonlTraceObserver, RouteStats,
+    RunRecord, StreamPriority, StreamingConfig,
+};
 use leveled_net::builders::{self, ButterflyCoords, MeshCorner};
 use leveled_net::Direction;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use routing_core::spec::parse_run_spec;
 use routing_core::workloads;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -74,11 +78,16 @@ fn golden_path(name: &str) -> PathBuf {
 /// Compares the encoded run against the committed golden file; with
 /// `HOTPOTATO_BLESS=1`, rewrites the golden instead.
 fn check_golden(name: &str, stats: &RouteStats, record: &RunRecord) {
-    let encoded = encode(stats, record);
+    check_encoded(name, &encode(stats, record));
+}
+
+/// Compares `encoded` against the committed golden `name` (or blesses
+/// it under `HOTPOTATO_BLESS=1`), naming the first diverging line.
+fn check_encoded(name: &str, encoded: &str) {
     let path = golden_path(name);
     if std::env::var("HOTPOTATO_BLESS").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &encoded).unwrap();
+        std::fs::write(&path, encoded).unwrap();
         eprintln!("blessed {}", path.display());
         return;
     }
@@ -102,8 +111,60 @@ fn check_golden(name: &str, stats: &RouteStats, record: &RunRecord) {
     }
 }
 
+/// FNV-1a (64-bit) over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Digest encoding for runs too large to pin move by move: a readable
+/// summary line, the FNV-1a of the JSONL event stream, and the FNV-1a
+/// of every `RouteStats` array and counter (as JSON). The `moves`
+/// counter is left out of the digest: it is derived from the event
+/// stream, which the digest already pins.
+fn encode_digest(stats: &RouteStats, events: &[u8], extra: &[String]) -> String {
+    let mut pinned = stats.clone();
+    pinned.counters.remove("moves");
+    let arrays = serde_json::to_string(&pinned).expect("stats serialize");
+    let mut out = String::new();
+    writeln!(out, "# golden run digest v1").unwrap();
+    writeln!(
+        out,
+        "stats steps={} delivered={} makespan={} deflections={}",
+        stats.steps_run,
+        stats.delivered_count(),
+        stats.makespan().unwrap_or(0),
+        stats.total_deflections(),
+    )
+    .unwrap();
+    for line in extra {
+        writeln!(out, "{line}").unwrap();
+    }
+    writeln!(
+        out,
+        "events lines={} fnv1a={:016x}",
+        events.iter().filter(|&&b| b == b'\n').count(),
+        fnv1a(events)
+    )
+    .unwrap();
+    writeln!(out, "stats-arrays fnv1a={:016x}", fnv1a(arrays.as_bytes())).unwrap();
+    out
+}
+
+/// Number of oscillation moves in a record.
+fn oscillations(record: &RunRecord) -> usize {
+    record
+        .moves
+        .iter()
+        .filter(|m| m.kind == ExitKind::Oscillate)
+        .count()
+}
+
 /// Busch router on a butterfly(4) random-pairs instance: exercises
-/// injections, conflicts, safe/free deflections, and wait oscillations.
+/// scheduled injections, frame phases and wait oscillations. No packet
+/// is deflected at this seed (`deflections=0` in the golden); the
+/// deflection paths are pinned by `busch_deflections_match_golden`.
 #[test]
 fn busch_butterfly_matches_golden() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xC0FFEE);
@@ -115,6 +176,10 @@ fn busch_butterfly_matches_golden() {
     };
     let out = BuschRouter::with_config(cfg).route(&prob, &mut rng);
     assert!(out.stats.all_delivered(), "golden run must deliver");
+    assert!(
+        oscillations(out.record.as_ref().unwrap()) > 0,
+        "run must oscillate"
+    );
     check_golden(
         "busch_butterfly4.txt",
         &out.stats,
@@ -210,4 +275,206 @@ fn observed_run_matches_unobserved_golden() {
     for line in jsonl.lines() {
         serde_json::from_str(line).expect("trace lines are valid JSON");
     }
+}
+
+/// Busch router with recording and the active trace on, its JSONL event
+/// stream captured: the shape of the large digest goldens.
+fn busch_run(spec: &str, seed: u64) -> (BuschOutcome, Vec<u8>) {
+    let (_, problem, _) = parse_run_spec(spec).unwrap().instantiate().unwrap();
+    let cfg = BuschConfig {
+        engine: EngineKind::Scalar,
+        record: true,
+        trace: true,
+        ..BuschConfig::new(Params::auto(&problem))
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut trace = JsonlTraceObserver::new(Vec::new());
+    let out = BuschRouter::with_config(cfg).route_observed(&problem, &mut rng, &mut trace);
+    (out, trace.finish().expect("no io errors"))
+}
+
+/// The digest of a Busch run: stats, events, and the invariant report.
+fn busch_digest(out: &BuschOutcome, events: &[u8]) -> String {
+    encode_digest(
+        &out.stats,
+        events,
+        &[
+            format!("invariants {}", out.invariants.summary()),
+            format!("phases {}", out.phases_elapsed),
+        ],
+    )
+}
+
+/// Busch on butterfly(10) bit-reversal (problem seed 42, router rng 7):
+/// ~1k packets with heavy conflicts, so deflections and wait
+/// oscillations both occur. Pinned as a digest.
+#[test]
+fn busch_bitrev10_matches_golden() {
+    let (out, events) = busch_run("butterfly:10/bitrev/busch/42", 7);
+    assert!(out.stats.all_delivered(), "golden run must deliver");
+    assert!(out.stats.total_deflections() > 0, "run must deflect");
+    assert!(
+        oscillations(out.record.as_ref().unwrap()) > 0,
+        "run must oscillate"
+    );
+    check_encoded("busch_bitrev10.digest", &busch_digest(&out, &events));
+}
+
+/// Busch on the §5 mesh application, 8×8 transpose (problem seed 0,
+/// router rng 11): wait oscillations on every diagonal. Pinned as a
+/// digest.
+#[test]
+fn busch_mesh8_transpose_matches_golden() {
+    let (out, events) = busch_run("mesh:8x8/transpose/busch/0", 11);
+    assert!(out.stats.all_delivered(), "golden run must deliver");
+    assert!(
+        oscillations(out.record.as_ref().unwrap()) > 0,
+        "run must oscillate"
+    );
+    check_encoded("busch_mesh8_transpose.digest", &busch_digest(&out, &events));
+}
+
+/// Busch on butterfly(5) bit-reversal with `Params::auto`: conflicts
+/// that end in safe backward deflections, pinned move by move.
+#[test]
+fn busch_deflections_match_golden() {
+    let (_, prob, mut rng) = parse_run_spec("bf:5/bitrev/busch/3")
+        .unwrap()
+        .instantiate()
+        .unwrap();
+    let cfg = BuschConfig {
+        engine: EngineKind::Scalar,
+        record: true,
+        ..BuschConfig::new(Params::auto(&prob))
+    };
+    let out = BuschRouter::with_config(cfg).route(&prob, &mut rng);
+    assert!(out.stats.all_delivered(), "golden run must deliver");
+    assert!(out.stats.total_deflections() > 0, "run must deflect");
+    check_golden(
+        "busch_deflect_bitrev5.txt",
+        &out.stats,
+        out.record.as_ref().expect("recording on"),
+    );
+}
+
+/// Greedy with furthest-to-go priority on a congested funnel
+/// (complete 8×4, 12 packets): priority-decided conflicts and
+/// deflections, pinned move by move.
+#[test]
+fn greedy_ftg_funnel_matches_golden() {
+    let (_, prob, mut rng) = parse_run_spec("complete:8x4/funnel:12/ftg/3")
+        .unwrap()
+        .instantiate()
+        .unwrap();
+    let cfg = baselines::GreedyConfig {
+        priority: baselines::GreedyPriority::FurthestToGo,
+        record: true,
+        ..Default::default()
+    };
+    let out = baselines::GreedyRouter::with_config(cfg).route(&prob, &mut rng);
+    assert!(out.stats.all_delivered(), "golden run must deliver");
+    assert!(out.stats.total_deflections() > 0, "run must deflect");
+    check_golden(
+        "greedy_ftg_funnel.txt",
+        &out.stats,
+        out.record.as_ref().expect("recording on"),
+    );
+}
+
+/// Random-rank greedy on butterfly(5) bit-reversal: the rank draw, then
+/// rank-decided conflicts and deflections, pinned move by move.
+#[test]
+fn rank_bitrev_matches_golden() {
+    let (_, prob, mut rng) = parse_run_spec("bf:5/bitrev/rank/3")
+        .unwrap()
+        .instantiate()
+        .unwrap();
+    let router = baselines::RandomPriorityRouter {
+        record: true,
+        ..Default::default()
+    };
+    let out = router.route(&prob, &mut rng);
+    assert!(out.stats.all_delivered(), "golden run must deliver");
+    assert!(out.stats.total_deflections() > 0, "run must deflect");
+    check_golden(
+        "rank_bitrev5.txt",
+        &out.stats,
+        out.record.as_ref().expect("recording on"),
+    );
+}
+
+/// Runs a streaming spec through the same path as `hotpotato route`
+/// (instance, then the arrival schedule from the post-workload rng)
+/// and returns the digest golden text plus the outcome's drop and
+/// deflection counts.
+fn streaming_digest(spec: &str, admission: AdmissionControl) -> (String, u64, u64) {
+    let run = parse_run_spec(spec).unwrap();
+    let (_, problem, mut rng) = run.instantiate().unwrap();
+    let process = run.arrival_process().unwrap().expect("streaming spec");
+    let schedule = process.schedule(problem.num_packets(), &mut rng);
+    let cfg = StreamingConfig {
+        admission,
+        priority: StreamPriority::for_algo(&run.algo).unwrap(),
+        record: true,
+        trace: true,
+        ..StreamingConfig::default()
+    };
+    let mut trace = JsonlTraceObserver::new(Vec::new());
+    let out = route_streaming_observed(&problem, &schedule, &cfg, &mut rng, &mut trace);
+    assert!(out.drained, "{spec}: golden stream must drain");
+    let record = out.record.as_ref().expect("recording on");
+    assert_eq!(
+        record.moves.len() as u64,
+        out.stats.counter("moves"),
+        "{spec}: moves counter"
+    );
+    let events = trace.finish().expect("no io errors");
+    let text = encode_digest(
+        &out.stats,
+        &events,
+        &[format!(
+            "stream arrivals={} admitted={} dropped={} peak_deferred={} peak_in_flight={}",
+            out.arrivals, out.admitted, out.dropped, out.peak_deferred, out.peak_in_flight
+        )],
+    );
+    (text, out.dropped, out.stats.total_deflections())
+}
+
+/// Streaming greedy under Poisson arrivals: conflicts and deflections
+/// among packets that entered at different times.
+#[test]
+fn streaming_greedy_poisson_matches_golden() {
+    let (text, _, deflections) = streaming_digest(
+        "bf:6/pairs:256/greedy/7/poisson:16",
+        AdmissionControl::default(),
+    );
+    assert!(deflections > 0, "stream must deflect");
+    check_encoded("stream_greedy_poisson.digest", &text);
+}
+
+/// Streaming furthest-to-go under bursts with a tight injection queue:
+/// admission control drops the overflow.
+#[test]
+fn streaming_ftg_burst_drops_match_golden() {
+    let (text, dropped, _) = streaming_digest(
+        "bf:5/pairs:64/ftg/3/burst:16:4",
+        AdmissionControl {
+            max_in_flight: 8,
+            max_deferred: 6,
+        },
+    );
+    assert!(dropped > 0, "stream must drop");
+    check_encoded("stream_ftg_burst.digest", &text);
+}
+
+/// Streaming aging under adversarial burst trains: the most-deflected
+/// packet wins, so conflicts and deflections are decided by history.
+#[test]
+fn streaming_aging_adversarial_matches_golden() {
+    let (text, _, deflections) = streaming_digest(
+        "bf:6/pairs:96/aging/5/adversarial:16:3",
+        AdmissionControl::default(),
+    );
+    assert!(deflections > 0, "stream must deflect");
+    check_encoded("stream_aging_adversarial.digest", &text);
 }
