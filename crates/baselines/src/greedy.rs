@@ -12,30 +12,17 @@
 //! leveled networks — the point of the paper — but is fast in easy
 //! regimes; the `T4` comparison experiment quantifies both sides.
 
-use hotpotato_sim::conflict::{self, Contender};
 use hotpotato_sim::{
-    ExitKind, InjectOutcome, NoopObserver, RouteObserver, RouteOutcome, RouteStats, Router,
-    Simulation,
+    GreedyStep, InjectOutcome, NoopObserver, RouteObserver, RouteOutcome, RouteStats, Router,
+    SoaEngine,
 };
 use rand::{Rng, RngCore};
 use routing_core::RoutingProblem;
 use std::sync::Arc;
 
-/// Conflict-resolution priority rule for the greedy baseline.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GreedyPriority {
-    /// All packets equal; ties (i.e. everything) resolved uniformly at
-    /// random.
-    Uniform,
-    /// The packet with the most remaining current-path edges wins
-    /// (furthest-to-go first).
-    FurthestToGo,
-    /// The packet deflected most often wins (aging): the standard
-    /// starvation-freedom device in practical deflection routers — a
-    /// packet's priority only ever rises, so it eventually outranks all
-    /// rivals on its route.
-    Aging,
-}
+/// Conflict-resolution priority rule for the greedy baseline: the rule
+/// the streaming driver uses too (`Uniform`, `FurthestToGo`, `Aging`).
+pub use hotpotato_sim::StreamPriority as GreedyPriority;
 
 /// Configuration of the greedy baseline.
 #[derive(Clone, Copy, Debug)]
@@ -108,81 +95,22 @@ impl GreedyRouter {
         rng: &mut R,
         observer: &mut O,
     ) -> GreedyOutcome {
-        let mut sim = Simulation::builder(Arc::clone(problem), vec![(); problem.num_packets()])
-            .trace(self.cfg.trace)
-            .recording(self.cfg.record)
-            .observer(observer)
-            .build();
+        let mut sim = SoaEngine::new(
+            Arc::clone(problem),
+            self.cfg.trace,
+            self.cfg.record,
+            observer,
+        );
+        let mut step = GreedyStep::new(problem.network_arc());
         let mut pending: Vec<u32> = (0..problem.num_packets() as u32).collect();
-        let mut arrivals_buf: Vec<u32> = Vec::new();
-        let mut contenders: Vec<Contender> = Vec::new();
-        let mut nodes_buf: Vec<leveled_net::NodeId> = Vec::new();
-        let mut scratch = conflict::ConflictScratch::default();
-
+        let priority = self.cfg.priority;
         while !sim.is_done() && sim.now() < self.cfg.max_steps {
-            sim.occupied_nodes_into(&mut nodes_buf);
-            for &v in &nodes_buf {
-                arrivals_buf.clear();
-                arrivals_buf.extend_from_slice(sim.arrivals(v));
-                contenders.clear();
-                for &p in &arrivals_buf {
-                    let desired = sim
-                        .next_move_of(p)
-                        .expect("active packets are not at their destination");
-                    let priority = match self.cfg.priority {
-                        GreedyPriority::Uniform => 0,
-                        GreedyPriority::FurthestToGo => {
-                            let pkt = sim.packet(p);
-                            let remaining =
-                                pkt.deviation_depth() + (sim.path_of(p).len() - pkt.base_idx());
-                            remaining as u32
-                        }
-                        GreedyPriority::Aging => sim.packet(p).deflections(),
-                    };
-                    contenders.push(Contender {
-                        pkt: p,
-                        desired,
-                        priority,
-                        arrival: sim.packet(p).last_move,
-                    });
-                }
-                // Fast path: a lone packet at a node cannot conflict.
-                if let [c] = contenders[..] {
-                    sim.stage_exit(c.pkt, c.desired, ExitKind::Advance)
-                        .expect("lone desired slot is free");
-                    continue;
-                }
-                let exits = conflict::resolve_into(
-                    &sim,
-                    v,
-                    &contenders,
-                    conflict::DeflectRule::SafeBackward {
-                        allow_fallback: true,
-                    },
-                    rng,
-                    &mut scratch,
-                )
-                .expect("fallback resolution cannot fail within degree bound");
-                for &e in exits {
-                    let kind = if e.won {
-                        ExitKind::Advance
-                    } else {
-                        ExitKind::Deflect { safe: e.safe }
-                    };
-                    sim.stage_exit(e.pkt, e.mv, kind)
-                        .expect("resolver produces feasible exits");
-                }
-            }
-
+            step.dispatch(&mut sim, |sim, p| priority.priority_of(sim, p), rng);
             // Greedy injection: everyone tries every step until admitted.
-            pending.retain(|&p| match sim.try_inject(p).expect("pending") {
-                InjectOutcome::Injected | InjectOutcome::DeliveredTrivially => false,
-                InjectOutcome::Blocked => true,
-            });
-
-            sim.finish_step().expect("all arrivals staged");
+            pending.retain(|&p| sim.try_inject(p) == InjectOutcome::Blocked);
+            step.commit(&mut sim);
         }
-        let (stats, record) = sim.into_parts();
+        let (stats, record) = step.into_parts(sim);
         GreedyOutcome { stats, record }
     }
 }

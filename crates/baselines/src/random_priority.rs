@@ -7,9 +7,8 @@
 //! patterns of uniform tie-breaking: the globally top-ranked packet in
 //! flight never loses a conflict, so it advances one level per step.
 
-use hotpotato_sim::conflict::{self, Contender};
 use hotpotato_sim::{
-    ExitKind, InjectOutcome, NoopObserver, RouteObserver, RouteOutcome, Router, Simulation,
+    GreedyStep, InjectOutcome, NoopObserver, RouteObserver, RouteOutcome, Router, SoaEngine,
 };
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
@@ -63,66 +62,15 @@ impl RandomPriorityRouter {
         let mut ranks: Vec<u32> = (0..n as u32).collect();
         ranks.shuffle(rng);
 
-        let mut sim = Simulation::builder(Arc::clone(problem), ranks)
-            .recording(self.record)
-            .observer(observer)
-            .build();
+        let mut sim = SoaEngine::new(Arc::clone(problem), false, self.record, observer);
+        let mut step = GreedyStep::new(problem.network_arc());
         let mut pending: Vec<u32> = (0..n as u32).collect();
-        let mut arrivals_buf: Vec<u32> = Vec::new();
-        let mut contenders: Vec<Contender> = Vec::new();
-        let mut nodes_buf: Vec<leveled_net::NodeId> = Vec::new();
-        let mut scratch = conflict::ConflictScratch::default();
-
         while !sim.is_done() && sim.now() < self.max_steps {
-            sim.occupied_nodes_into(&mut nodes_buf);
-            for &v in &nodes_buf {
-                arrivals_buf.clear();
-                arrivals_buf.extend_from_slice(sim.arrivals(v));
-                contenders.clear();
-                for &p in &arrivals_buf {
-                    contenders.push(Contender {
-                        pkt: p,
-                        desired: sim
-                            .next_move_of(p)
-                            .expect("active packets are not at their destination"),
-                        priority: sim.packet(p).meta,
-                        arrival: sim.packet(p).last_move,
-                    });
-                }
-                // Fast path: a lone packet at a node cannot conflict.
-                if let [c] = contenders[..] {
-                    sim.stage_exit(c.pkt, c.desired, ExitKind::Advance)
-                        .expect("lone desired slot is free");
-                    continue;
-                }
-                let exits = conflict::resolve_into(
-                    &sim,
-                    v,
-                    &contenders,
-                    conflict::DeflectRule::SafeBackward {
-                        allow_fallback: true,
-                    },
-                    rng,
-                    &mut scratch,
-                )
-                .expect("fallback resolution cannot fail within degree bound");
-                for &e in exits {
-                    let kind = if e.won {
-                        ExitKind::Advance
-                    } else {
-                        ExitKind::Deflect { safe: e.safe }
-                    };
-                    sim.stage_exit(e.pkt, e.mv, kind)
-                        .expect("resolver produces feasible exits");
-                }
-            }
-            pending.retain(|&p| match sim.try_inject(p).expect("pending") {
-                InjectOutcome::Injected | InjectOutcome::DeliveredTrivially => false,
-                InjectOutcome::Blocked => true,
-            });
-            sim.finish_step().expect("all arrivals staged");
+            step.dispatch(&mut sim, |_, p| ranks[p as usize], rng);
+            pending.retain(|&p| sim.try_inject(p) == InjectOutcome::Blocked);
+            step.commit(&mut sim);
         }
-        let (stats, record) = sim.into_parts();
+        let (stats, record) = step.into_parts(sim);
         crate::greedy::GreedyOutcome { stats, record }
     }
 }

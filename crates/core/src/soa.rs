@@ -1,8 +1,7 @@
-//! The data-oriented step driver for [`crate::BuschRouter`].
+//! The step driver for [`crate::BuschRouter`].
 //!
-//! Runs the same algorithm as the scalar driver in `router.rs` — the
-//! paper's states/targets/conflicts/injection (§3) — on
-//! [`hotpotato_sim::SoaEngine`] instead of [`hotpotato_sim::Simulation`].
+//! Runs the paper's algorithm — states, targets, conflicts and injection
+//! (§3, summarized in `router.rs`) — on [`hotpotato_sim::SoaEngine`].
 //! The per-packet algorithm state (state tag, oscillation edge) lives in
 //! flat arrays ([`DriverState`]) mirroring the engine's SoA layout.
 //!
@@ -10,9 +9,9 @@
 //!
 //! * **Sequential** ([`BuschConfig::parallel_bands`] off): a single
 //!   [`BandStage`] spans every occupied node and all randomness comes
-//!   from the caller's rng, drawn in exactly the scalar driver's order —
-//!   which makes this mode *bit-identical* to the scalar engine (stats,
-//!   records, observer streams), as the golden-equivalence tests pin.
+//!   from the caller's rng, drawn node by node in ascending order and
+//!   arrival by arrival — the decision sequence the committed goldens
+//!   pin (stats, records, observer streams).
 //! * **Banded** (`parallel_bands` on): nodes are partitioned into
 //!   [`BANDS`] contiguous level bands, each with a persistent
 //!   `ChaCha8Rng` stream seeded from the master rng at run start. Band
@@ -33,11 +32,11 @@
 //! state exists until [`SoaEngine::merge_band`] commits the bands — in
 //! fixed band-index order, which is the reduction order that keeps the
 //! merged staging sequence, and hence every downstream artifact,
-//! deterministic. Deferred state updates are equivalent to the scalar
-//! driver's in-place writes because all same-step reads of a packet's
-//! state happen at its own node, inside its own band.
+//! deterministic. Deferred state updates are equivalent to in-place
+//! writes because all same-step reads of a packet's state happen at its
+//! own node, inside its own band.
 
-use crate::invariants::{check_phase_end_soa, InvariantReport, PhaseAuditScratch};
+use crate::invariants::{check_phase_end, InvariantReport, PhaseAuditScratch};
 use crate::router::{BuschConfig, BuschOutcome};
 use crate::schedule::{assign_sets, FrameSchedule};
 use hotpotato_sim::conflict::{self, ConflictScratch, Contender, DeflectRule};
@@ -67,8 +66,8 @@ const TAG_WAIT: u8 = 0;
 const TAG_NORMAL: u8 = 1;
 const TAG_EXCITED: u8 = 2;
 
-/// The algorithm's per-packet state in SoA form: the counterpart of
-/// `Meta.state` in the scalar driver. Read-shared with band workers
+/// The algorithm's per-packet state (§3, "Packet State"): normal,
+/// excited, or wait on an oscillation edge. Read-shared with band workers
 /// behind an `Arc`; mutated only between dispatches via `Arc::get_mut`
 /// (the band workers have dropped their clones by then).
 struct DriverState {
@@ -98,8 +97,7 @@ struct StepCtx {
     /// both sides of the float compare are exact, so precomputing the
     /// integer threshold removes the float conversion from the hottest
     /// rng call without perturbing the pinned stream. `0` means no draw
-    /// (matching the `q > 0` gate the scalar driver applies before
-    /// calling `gen_bool`).
+    /// (`q = 0` never excites, and draws nothing).
     exc_threshold: u64,
     /// `q >= 1.0`: every normal arrival excites, and — matching
     /// `gen_bool`'s early return — *without* consuming a draw.
@@ -153,8 +151,8 @@ struct BandState {
 }
 
 /// Dispatches every node in `nodes`: folds the round/phase
-/// demotions and excitation draws into the visit (exactly as the scalar
-/// driver does), builds contenders, resolves conflicts against the
+/// demotions and excitation draws into the visit, builds contenders,
+/// resolves conflicts against the
 /// band-local slot bitset, and stages one exit per arrival. Mutates
 /// nothing shared — updates and counters accumulate in `ctx` for the
 /// merge.
@@ -368,9 +366,8 @@ mod pool {
     }
 }
 
-/// Routes `problem` on the data-oriented engine. Same contract and
-/// event stream as the scalar driver; see the module docs for the
-/// sequential/banded split.
+/// Routes `problem` on the bufferless engine; see the module docs for
+/// the sequential/banded split.
 // lint: telemetry
 // (the `Instant` reads feed `on_section` profiling only; no routing
 // decision depends on them)
@@ -387,8 +384,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let phase_len = params.phase_len();
     let max_steps = params.max_steps(depth).max(phase_len);
 
-    // Random uniform frontier-set assignment (§2.4) — same draw as the
-    // scalar driver.
+    // Random uniform frontier-set assignment (§2.4).
     let sets_master = assign_sets(problem.num_packets(), params.num_sets, rng);
     observer.on_sets_assigned(&sets_master, params.num_sets);
     let sets: Arc<Vec<u32>> = Arc::new(sets_master.clone());
@@ -651,8 +647,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
                 ctx.nodes = nodes;
             }
         } else if busy > 0 {
-            // Sequential: the scalar-identical path — the master rng
-            // feeds every draw in the scalar driver's order, and the
+            // Sequential: the master rng feeds every draw, and the
             // engine's occupied list is already the ascending node list.
             dispatch_band(
                 &net,
@@ -758,7 +753,7 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
                     actual
                 }
             };
-            let per_set_max = check_phase_end_soa(
+            let per_set_max = check_phase_end(
                 &sim,
                 &schedule,
                 sets.as_slice(),

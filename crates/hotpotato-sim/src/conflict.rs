@@ -22,37 +22,19 @@
 //! injected in isolation, steps 1–2 always succeed for the paper's
 //! algorithm; the unit tests exercise exactly the induction's cases.
 
-use crate::engine::Simulation;
-use crate::observe::RouteObserver;
 use leveled_net::ids::{DirectedEdge, Direction};
 use leveled_net::{LeveledNetwork, NodeId};
 use rand::Rng;
 
 /// The minimal engine surface conflict resolution reads: the network and
-/// the per-step (edge, direction) slot occupancy. Both the scalar
-/// [`Simulation`] and the data-oriented [`crate::soa::SoaEngine`] implement
-/// it, so [`resolve_into`] — including its randomness consumption — is
-/// literally the same code on both engines. That shared body is what makes
-/// the SoA engine's golden equivalence (bit-identical stats and trace
-/// against the scalar oracle) hold by construction rather than by
-/// re-implementation.
+/// the per-step (edge, direction) slot occupancy. A step driver's
+/// [`crate::soa::BandStage`] implements it, so a resolution sees exactly
+/// the slots the driver has claimed so far this step.
 pub trait SlotView {
     /// The network topology.
     fn network(&self) -> &LeveledNetwork;
     /// Whether the (edge, direction) slot is still free this step.
     fn slot_free(&self, mv: DirectedEdge) -> bool;
-}
-
-impl<M, O: RouteObserver> SlotView for Simulation<M, O> {
-    #[inline]
-    fn network(&self) -> &LeveledNetwork {
-        Simulation::network(self)
-    }
-
-    #[inline]
-    fn slot_free(&self, mv: DirectedEdge) -> bool {
-        Simulation::slot_free(self, mv)
-    }
 }
 
 /// One packet competing for an exit at a node.
@@ -368,11 +350,27 @@ pub fn resolve_into<'s, S: SlotView + ?Sized, R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soa::{pack_move, unpack_move, BandStage, SoaEngine, KIND_ADVANCE};
+    use crate::NoopObserver;
     use leveled_net::{EdgeId, NetworkBuilder};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use routing_core::{Path, RoutingProblem};
     use std::sync::Arc;
+
+    /// An engine with every packet of `prob` injected and one step
+    /// committed, plus an empty stage over its network: the state a step
+    /// driver resolves conflicts in.
+    fn after_injection(prob: Arc<RoutingProblem>) -> (SoaEngine, BandStage) {
+        let net = prob.network_arc();
+        let n = prob.num_packets() as u32;
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        for p in 0..n {
+            sim.try_inject(p);
+        }
+        sim.finish_step().unwrap();
+        (sim, BandStage::new(net))
+    }
 
     /// Three-level fan: two level-0 nodes feed one level-1 node, which has
     /// two edges to level 2.
@@ -398,35 +396,32 @@ mod tests {
     }
 
     /// Sets up the fan with both packets arrived at n2 (after one step).
-    fn fan_sim() -> Simulation<()> {
-        let prob = fan();
-        let mut sim: Simulation<()> = Simulation::builder(prob, vec![(), ()]).build();
-        sim.try_inject(0).unwrap();
-        sim.try_inject(1).unwrap();
-        sim.finish_step().unwrap();
-        assert_eq!(sim.arrivals(NodeId(2)).len(), 2);
-        sim
+    fn fan_sim() -> (SoaEngine, BandStage) {
+        let (sim, band) = after_injection(fan());
+        assert_eq!(sim.shared().arrivals(2).len(), 2);
+        (sim, band)
     }
 
-    fn contender<M, O: RouteObserver>(
-        sim: &Simulation<M, O>,
-        pkt: u32,
-        priority: u32,
-    ) -> Contender {
+    /// The move that brought `pkt` to its node.
+    fn arrival(sim: &SoaEngine, pkt: u32) -> Option<DirectedEdge> {
+        Some(unpack_move(sim.shared().flight[pkt as usize].last_move))
+    }
+
+    fn contender(sim: &SoaEngine, pkt: u32, priority: u32) -> Contender {
         Contender {
             pkt,
-            desired: sim.next_move_of(pkt).unwrap(),
+            desired: unpack_move(sim.shared().next_move(pkt)),
             priority,
-            arrival: sim.packet(pkt).last_move,
+            arrival: arrival(sim, pkt),
         }
     }
 
     #[test]
     fn winner_takes_slot_loser_deflected_safely_backward() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let sim = fan_sim();
+        let (sim, band) = fan_sim();
         let cs = vec![contender(&sim, 0, 1), contender(&sim, 1, 1)];
-        let exits = resolve(&sim, NodeId(2), &cs, false, &mut rng).unwrap();
+        let exits = resolve(&band, NodeId(2), &cs, false, &mut rng).unwrap();
         let winners: Vec<&ResolvedExit> = exits.iter().filter(|e| e.won).collect();
         assert_eq!(winners.len(), 1);
         assert_eq!(winners[0].mv, DirectedEdge::forward(EdgeId(2)));
@@ -442,9 +437,9 @@ mod tests {
     fn higher_priority_always_wins() {
         for seed in 0..20 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let sim = fan_sim();
+            let (sim, band) = fan_sim();
             let cs = vec![contender(&sim, 0, 0), contender(&sim, 1, 2)];
-            let exits = resolve(&sim, NodeId(2), &cs, false, &mut rng).unwrap();
+            let exits = resolve(&band, NodeId(2), &cs, false, &mut rng).unwrap();
             assert!(!exits[0].won, "seed {seed}");
             assert!(exits[1].won, "seed {seed}");
         }
@@ -456,9 +451,9 @@ mod tests {
         let trials = 200;
         for seed in 0..trials {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let sim = fan_sim();
+            let (sim, band) = fan_sim();
             let cs = vec![contender(&sim, 0, 1), contender(&sim, 1, 1)];
-            let exits = resolve(&sim, NodeId(2), &cs, false, &mut rng).unwrap();
+            let exits = resolve(&band, NodeId(2), &cs, false, &mut rng).unwrap();
             if exits[0].won {
                 wins0 += 1;
             }
@@ -473,7 +468,7 @@ mod tests {
     fn distinct_desired_slots_all_win() {
         // Reroute packet 1 to use e3 so there is no conflict.
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let sim = fan_sim();
+        let (sim, band) = fan_sim();
         let desired1 = DirectedEdge::forward(EdgeId(3));
         let cs = vec![
             contender(&sim, 0, 1),
@@ -481,10 +476,10 @@ mod tests {
                 pkt: 1,
                 desired: desired1,
                 priority: 1,
-                arrival: sim.packet(1).last_move,
+                arrival: arrival(&sim, 1),
             },
         ];
-        let exits = resolve(&sim, NodeId(2), &cs, false, &mut rng).unwrap();
+        let exits = resolve(&band, NodeId(2), &cs, false, &mut rng).unwrap();
         assert!(exits.iter().all(|e| e.won));
         // All assigned slots are distinct.
         assert_ne!(exits[0].mv, exits[1].mv);
@@ -496,8 +491,8 @@ mod tests {
         // forward-arrival information (as if they had arrived backward):
         // the safe-deflection pool is empty, so the loser fails without
         // fallback and takes an arbitrary free exit with it.
-        let sim = fan_sim();
-        let desired = sim.next_move_of(0).unwrap(); // e2 forward
+        let (sim, band) = fan_sim();
+        let desired = unpack_move(sim.shared().next_move(0)); // e2 forward
         let cs = vec![
             Contender {
                 pkt: 0,
@@ -513,11 +508,11 @@ mod tests {
             },
         ];
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let err = resolve(&sim, NodeId(2), &cs, false, &mut rng).unwrap_err();
+        let err = resolve(&band, NodeId(2), &cs, false, &mut rng).unwrap_err();
         assert_eq!(err, ConflictError::NoSafeExit { pkt: 0 });
         // With fallback, the loser takes any free exit (unsafe), here the
         // other forward edge e3.
-        let exits = resolve(&sim, NodeId(2), &cs, true, &mut rng).unwrap();
+        let exits = resolve(&band, NodeId(2), &cs, true, &mut rng).unwrap();
         let loser = exits.iter().find(|e| !e.won).unwrap();
         assert!(!loser.safe);
         assert_eq!(loser.mv, DirectedEdge::forward(EdgeId(3)));
@@ -544,14 +539,10 @@ mod tests {
             Path::new(&net, s2, vec![e2, e3]).unwrap(),
         ];
         let prob = Arc::new(RoutingProblem::new(net, paths).unwrap());
-        let mut sim: Simulation<()> = Simulation::builder(prob, vec![(), (), ()]).build();
-        for p in 0..3 {
-            sim.try_inject(p).unwrap();
-        }
-        sim.finish_step().unwrap();
+        let (sim, band) = after_injection(prob);
         let cs: Vec<Contender> = (0..3).map(|p| contender(&sim, p, 1)).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let exits = resolve(&sim, mid, &cs, false, &mut rng).unwrap();
+        let exits = resolve(&band, mid, &cs, false, &mut rng).unwrap();
         assert_eq!(exits.iter().filter(|e| e.won).count(), 1);
         let mut slots: Vec<usize> = exits.iter().map(|e| e.mv.slot_index()).collect();
         slots.sort_unstable();
@@ -566,14 +557,13 @@ mod tests {
     #[test]
     fn resolution_respects_engine_level_slot_state() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut sim = fan_sim();
-        // Claim e2-forward at the engine level using packet 0 itself, then
+        let (sim, mut band) = fan_sim();
+        // Claim e2-forward on the stage using packet 0 itself, then
         // resolve only packet 1: it must lose and deflect safely.
-        let mv = sim.next_move_of(0).unwrap();
-        sim.stage_exit(0, mv, crate::engine::ExitKind::Advance)
-            .unwrap();
+        let mv = unpack_move(sim.shared().next_move(0));
+        band.stage(0, pack_move(mv), KIND_ADVANCE);
         let cs = vec![contender(&sim, 1, 3)];
-        let exits = resolve(&sim, NodeId(2), &cs, false, &mut rng).unwrap();
+        let exits = resolve(&band, NodeId(2), &cs, false, &mut rng).unwrap();
         assert!(!exits[0].won, "engine-level slot already taken");
         assert!(exits[0].safe);
         assert_eq!(exits[0].mv, DirectedEdge::backward(EdgeId(1)));

@@ -2,12 +2,13 @@
 //!
 //! Two engines share the packet/problem model of `routing-core`:
 //!
-//! * [`Simulation`] — the **bufferless (hot-potato) engine** (paper §2.3):
+//! * [`SoaEngine`] — the **bufferless (hot-potato) engine** (paper §2.3):
 //!   time is discrete; at each step every active packet *must* leave its
 //!   current node; at most one packet traverses each edge per direction per
 //!   step. Routing algorithms drive the engine by staging one exit per
 //!   arriving packet each step; the engine enforces the hot-potato
 //!   constraints, performs movement/absorption, and keeps statistics.
+//!   [`engine`] holds the step vocabulary drivers and observers share.
 //! * [`store_forward`] — the **buffered engine** used by the
 //!   store-and-forward baselines: per-edge output queues, one dequeue per
 //!   edge per direction per step.
@@ -15,10 +16,11 @@
 //! The [`conflict`] module provides the shared conflict-resolution routine
 //! (priority winners, *safe backward deflections* in the sense of the
 //! paper's Lemma 2.1) used by both the paper's algorithm and the greedy
-//! baselines. The [`streaming`] module drives the engine in the
-//! *continuous-injection* (online) mode: an open-ended step loop fed by
-//! an arrival process through bounded admission control, instead of the
-//! batch run-to-quiesce loop.
+//! baselines; [`greedy_step`] is the greedy dispatch built on it. The
+//! [`streaming`] module drives the engine in the *continuous-injection*
+//! (online) mode: an open-ended step loop fed by an arrival process
+//! through bounded admission control, instead of the batch
+//! run-to-quiesce loop.
 //!
 //! Cross-cutting layers on top of the engines:
 //!
@@ -37,8 +39,8 @@
 pub mod conflict;
 pub mod engine;
 pub mod exchange;
+pub mod greedy_step;
 pub mod jsonl;
-pub mod kinematics;
 pub mod observe;
 pub mod pool_core;
 pub mod record;
@@ -50,12 +52,9 @@ pub mod streaming;
 pub mod summary;
 
 pub use conflict::SlotView;
-pub use engine::{
-    AuditLevel, ExitKind, InjectOutcome, PacketStatus, SimError, Simulation, SimulationBuilder,
-    StepReport,
-};
+pub use engine::{ExitKind, InjectOutcome, SimError, StepReport};
 pub use exchange::{snapshot_exchange, SnapshotPublisher, SnapshotReader};
-pub use kinematics::SimPacket;
+pub use greedy_step::GreedyStep;
 pub use observe::{
     JsonlTraceObserver, MetricsObserver, NoopObserver, RouteObserver, Section, SectionProfiler,
 };

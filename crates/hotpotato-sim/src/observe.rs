@@ -18,7 +18,7 @@
 //!
 //! # Zero cost when disabled
 //!
-//! [`Simulation`](crate::Simulation) takes the observer as a generic
+//! [`SoaEngine`](crate::SoaEngine) takes the observer as a generic
 //! parameter defaulting to [`NoopObserver`]. Every hook has an inline
 //! empty default body, so with `NoopObserver` the monomorphized engine
 //! contains no observer code at all — the golden-equivalence tests and
@@ -44,7 +44,7 @@ pub enum Section {
     /// Building contenders and resolving edge conflicts.
     Conflict,
     /// Applying staged moves and rebuilding arrivals
-    /// ([`Simulation::finish_step`](crate::Simulation::finish_step)).
+    /// ([`SoaEngine::finish_step`](crate::SoaEngine::finish_step)).
     Kinematics,
     /// Phase-end invariant audits.
     Audit,
@@ -167,7 +167,7 @@ pub trait RouteObserver {
     fn on_section(&mut self, section: Section, nanos: u64) {}
 }
 
-/// The do-nothing observer: the default `Simulation` parameter. All hooks
+/// The do-nothing observer: the default `SoaEngine` parameter. All hooks
 /// inline to nothing, so an unobserved run compiles to exactly the code it
 /// had before the observability layer existed.
 #[derive(Clone, Copy, Default, Debug)]

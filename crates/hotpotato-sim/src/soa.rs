@@ -1,15 +1,16 @@
 //! The data-oriented (structure-of-arrays) bufferless engine.
 //!
-//! [`SoaEngine`] is the cache-friendly twin of [`crate::Simulation`]: the
-//! same hot-potato semantics (bufferless law, per-(edge, direction) slot
-//! capacity, absorb-on-arrival), rebuilt around flat arrays so the
-//! per-step inner loops stream over memory instead of chasing pointers:
+//! [`SoaEngine`] is the workspace's one hot-potato engine (bufferless
+//! law, per-(edge, direction) slot capacity, absorb-on-arrival — see
+//! [`crate::engine`]), built around flat arrays so the per-step inner
+//! loops stream over memory instead of chasing pointers:
 //!
 //! * **Packet state is SoA.** Position, last move, preselected-path
-//!   cursor and deviation depth live in parallel `Vec<u32>`s indexed by
-//!   packet id; the `Vec<DirectedEdge>` deviation stack of
-//!   [`crate::SimPacket`] becomes a free-list arena of `(move, next)`
-//!   pairs shared by all packets.
+//!   cursor and deviation depth live in per-packet [`Flight`] rows; each
+//!   packet's *current path* is its deviation stack (the undo move of
+//!   every traversal that left the current path, paper §2.3) on top of
+//!   the rest of its preselected path, and the stacks live in one
+//!   free-list arena of `(move, next)` pairs shared by all packets.
 //! * **Moves are packed.** A directed edge traversal is a single `u32`
 //!   (`edge << 1 | direction`), chosen so the packed value *is* the
 //!   [`DirectedEdge::slot_index`] and reversing a move is `mv ^ 1`.
@@ -28,10 +29,9 @@
 //! [`SoaEngine::finish_step`], which reclaims exclusive access via
 //! `Arc::get_mut` — no locks, no unsafe.
 //!
-//! The scalar engine remains the oracle: driven with the same decision
-//! sequence, `SoaEngine` produces bit-identical [`RouteStats`], movement
-//! records and observer event streams (the golden-equivalence tests in
-//! the bench crate assert this end to end).
+//! The committed goldens (`tests/goldens`), `trace verify`'s replay laws
+//! and [`crate::replay::verify`] pin the engine's behaviour: every
+//! driver's movement record, `RouteStats` and observer event stream.
 
 use crate::conflict::SlotView;
 use crate::engine::{ExitKind, InjectOutcome, SimError, StepReport};
@@ -40,6 +40,7 @@ use crate::record::{MoveEvent, RunRecord, TrivialDelivery};
 use crate::stats::{RouteStats, Time};
 use leveled_net::ids::{DirectedEdge, Direction};
 use leveled_net::{EdgeId, LeveledNetwork};
+use routing_core::spec::MAX_DEGREE;
 use routing_core::{PacketId, RoutingProblem};
 use std::sync::Arc;
 
@@ -47,8 +48,7 @@ use std::sync::Arc;
 /// fields.
 pub const NO_MOVE: u32 = u32::MAX;
 
-/// Packet lifecycle tags (the SoA counterpart of
-/// [`crate::PacketStatus`]).
+/// Packet lifecycle tag: waiting at its source, not yet injected.
 pub const STATUS_PENDING: u8 = 0;
 /// In flight.
 pub const STATUS_ACTIVE: u8 = 1;
@@ -211,7 +211,7 @@ pub struct SoaShared {
     /// to record and one to read, with no prefix-summing or cursor
     /// restoration between steps.
     pub arrivals: Vec<u32>,
-    /// Per-node `(epoch_tag << 8) | len`: node `v`'s region is valid iff
+    /// Per-node `(epoch_tag << 16) | len`: node `v`'s region is valid iff
     /// the tag field equals `arr_tag`, so stale regions read as empty
     /// without ever being cleared. Folding the length into the same
     /// word keeps the hot validity check *and* the region length in one
@@ -221,8 +221,9 @@ pub struct SoaShared {
     /// Words per node region of `arrivals`: the max degree (a node
     /// receives at most one packet per incident edge per step).
     pub arr_stride: u32,
-    /// Tag of the current step's arrival regions (24 bits — the meta
-    /// word keeps 8 for the length); bumped once per committed step, so
+    /// Tag of the current step's arrival regions (16 bits — the meta
+    /// word keeps the other 16 for the length); bumped once per committed
+    /// step, so
     /// regions written for earlier steps are dead without being touched.
     pub arr_tag: u32,
     /// Total arrivals recorded this step.
@@ -246,11 +247,11 @@ impl SoaShared {
     // golden suites, never a client-input path)
     pub fn arrivals(&self, v: u32) -> &[u32] {
         let m = self.arr_meta[v as usize];
-        if (m >> 8) != self.arr_tag {
+        if (m >> 16) != self.arr_tag {
             return &[];
         }
         let base = (v * self.arr_stride) as usize;
-        &self.arrivals[base..base + (m & 0xFF) as usize]
+        &self.arrivals[base..base + (m & 0xFFFF) as usize]
     }
 
     /// The next packed move along packet `pkt`'s current path: the
@@ -272,8 +273,8 @@ impl SoaShared {
 
     /// The edges of packet `pkt`'s *current path*, in order from its
     /// current node to its destination: deviation stack top-down, then
-    /// the remainder of the preselected path (the same order as
-    /// [`crate::SimPacket::current_path_edges`]).
+    /// the remainder of the preselected path. Congestion auditors (the
+    /// invariant `I_e`) sum over it.
     pub fn current_path_edges(&self, pkt: u32) -> impl Iterator<Item = EdgeId> + '_ {
         let f = &self.flight[pkt as usize];
         let mut cur = f.dev_head;
@@ -293,8 +294,8 @@ impl SoaShared {
 
     /// Validates that packet `pkt`'s current path is a valid forward path
     /// starting at its current node (the conclusion of the paper's
-    /// Lemma 2.1) — the SoA counterpart of
-    /// [`crate::SimPacket::validate_current_path`].
+    /// Lemma 2.1). Deflections that are not backward-and-safe (the
+    /// unsafe baselines' fallback) can break it.
     pub fn validate_current_path(&self, net: &LeveledNetwork, pkt: u32) -> bool {
         let f = &self.flight[pkt as usize];
         let mut at = f.node;
@@ -334,8 +335,7 @@ impl SoaShared {
 ///
 /// The sequential path uses a single `BandStage` over all nodes, which
 /// makes it decision-for-decision identical to the banded path with one
-/// band — and, driven with the scalar driver's decision sequence,
-/// bit-identical to the scalar engine.
+/// band.
 pub struct BandStage {
     net: Arc<LeveledNetwork>,
     slot_words: Vec<u64>,
@@ -391,10 +391,37 @@ impl SlotView for BandStage {
 }
 
 /// The structure-of-arrays bufferless engine. See the module docs for
-/// the layout; the step protocol matches [`crate::Simulation`]:
-/// dispatch exits for every arrival (via [`BandStage`]s merged with
+/// the layout. Drivers run each step in three parts: dispatch one exit
+/// for every arrival (via [`BandStage`]s merged with
 /// [`SoaEngine::merge_band`]), inject with [`SoaEngine::try_inject`],
-/// then commit with [`SoaEngine::finish_step`].
+/// then commit with [`SoaEngine::finish_step`]:
+///
+/// ```
+/// # use hotpotato_sim::{BandStage, NoopObserver, SoaEngine, soa::KIND_ADVANCE};
+/// # use routing_core::{Path, RoutingProblem};
+/// # use leveled_net::{builders, NodeId};
+/// # use std::sync::Arc;
+/// # let net = Arc::new(builders::linear_array(3));
+/// # let path = Path::from_nodes(&net, &[NodeId(0), NodeId(1), NodeId(2)]).unwrap();
+/// # let problem = Arc::new(RoutingProblem::new(Arc::clone(&net), vec![path]).unwrap());
+/// let mut sim: SoaEngine = SoaEngine::new(problem, false, true, NoopObserver);
+/// let mut band = BandStage::new(net);
+/// let mut pending = vec![0];
+/// while !sim.is_done() {
+///     let sh = sim.shared();
+///     for &v in &sh.occupied {
+///         for &p in sh.arrivals(v) {
+///             band.stage(p, sh.next_move(p), KIND_ADVANCE);
+///         }
+///     }
+///     sim.merge_band(&mut band);
+///     pending.retain(|&p| sim.try_inject(p) == hotpotato_sim::InjectOutcome::Blocked);
+///     sim.finish_step().unwrap();
+/// }
+/// let (stats, record) = sim.into_parts();
+/// assert_eq!(stats.delivered_at[0], Some(2));
+/// assert_eq!(record.unwrap().moves.len(), 2);
+/// ```
 pub struct SoaEngine<O = NoopObserver> {
     problem: Arc<RoutingProblem>,
     net: Arc<LeveledNetwork>,
@@ -420,6 +447,14 @@ impl<O: RouteObserver> SoaEngine<O> {
     /// Builds the engine over `problem`. `trace` enables the per-step
     /// active-count trace, `recording` the full movement record for
     /// [`crate::replay::verify`].
+    ///
+    /// # Panics
+    ///
+    /// If a node's degree exceeds [`MAX_DEGREE`] (topology specs reject
+    /// such networks when they are instantiated).
+    // lint: panics-by-design(construction-time capacity check: the degree limit is
+    // enforced where specs are instantiated, and the CSR offsets index the
+    // problem's own packets)
     pub fn new(problem: Arc<RoutingProblem>, trace: bool, recording: bool, observer: O) -> Self {
         let net = problem.network_arc();
         let n = problem.num_packets();
@@ -427,8 +462,8 @@ impl<O: RouteObserver> SoaEngine<O> {
         let ne = net.num_edges();
         let arr_stride = net.max_degree() as u32;
         assert!(
-            arr_stride < 256,
-            "the SoA arrival meta word keeps 8 bits for the region length; \
+            arr_stride as usize <= MAX_DEGREE,
+            "the SoA arrival meta word keeps 16 bits for the region length; \
              a node of degree {arr_stride} cannot be encoded"
         );
 
@@ -512,8 +547,7 @@ impl<O: RouteObserver> SoaEngine<O> {
         &self.problem
     }
 
-    /// The underlying network (also reachable through
-    /// [`SlotView::network`]).
+    /// The underlying network.
     #[inline]
     pub fn net(&self) -> &Arc<LeveledNetwork> {
         &self.net
@@ -543,11 +577,17 @@ impl<O: RouteObserver> SoaEngine<O> {
         self.status[pkt as usize]
     }
 
-    /// The maintained active-packet list, unordered (see
-    /// [`crate::Simulation::active_slice`]).
+    /// The maintained active-packet list, in unspecified order: for
+    /// order-insensitive consumers (auditors summing over the set).
     #[inline]
     pub fn active_slice(&self) -> &[u32] {
         &self.active_list
+    }
+
+    /// Number of in-flight packets.
+    #[inline]
+    pub fn active_count(&self) -> usize {
+        self.active_list.len()
     }
 
     /// The maintained pending-packet list, unordered.
@@ -607,8 +647,11 @@ impl<O: RouteObserver> SoaEngine<O> {
         band.staged.clear();
     }
 
-    /// Attempts to inject pending packet `pkt` — same semantics and
-    /// outcome set as [`crate::Simulation::try_inject`].
+    /// Attempts to inject pending packet `pkt`: it departs its source
+    /// along the first edge of its preselected path if that slot is free.
+    /// Packets with trivial paths are delivered immediately. The engine
+    /// does not require *isolation* (no other packets at the source) —
+    /// the paper's algorithm arranges it by scheduling and audits it.
     // lint: hot-path
     // lint: panics-by-design(dense-index invariant surface: packet/node ids are
     // validated at construction, so an OOB here is an engine bug caught by the
@@ -673,8 +716,7 @@ impl<O: RouteObserver> SoaEngine<O> {
     /// Applies all staged exits: verifies the bufferless constraint,
     /// moves packets, absorbs arrivals at destinations, rebuilds the
     /// arrival arena, clears the slot bitset via the staged list, and
-    /// advances the clock. Mirrors [`crate::Simulation::finish_step`]
-    /// event for event.
+    /// advances the clock.
     // lint: hot-path
     // lint: panics-by-design(dense-index invariant surface: packet/node ids are
     // validated at construction, so an OOB here is an engine bug caught by the
@@ -691,9 +733,9 @@ impl<O: RouteObserver> SoaEngine<O> {
         // The outgoing step's arrival regions die by tag, not by
         // clearing: bump the tag and write next step's arrivals directly
         // as moves commit. (Tag 0 is reserved for never-written regions,
-        // so on the rare 24-bit wraparound the meta words are flushed
-        // wholesale.)
-        if sh.arr_tag == (1 << 24) - 1 {
+        // so on the 16-bit wraparound — once every 65,535 steps — the
+        // meta words are flushed wholesale.)
+        if sh.arr_tag == (1 << 16) - 1 {
             sh.arr_tag = 0;
             sh.arr_meta.fill(0);
         }
@@ -810,14 +852,14 @@ impl<O: RouteObserver> SoaEngine<O> {
                 report.absorbed += 1;
             } else {
                 let m = sh.arr_meta[target as usize];
-                let len = if (m >> 8) == new_tag {
-                    m & 0xFF
+                let len = if (m >> 16) == new_tag {
+                    m & 0xFFFF
                 } else {
                     sh.occ_words[(target >> 6) as usize] |= 1u64 << (target & 63);
                     sh.occ_sum[(target >> 12) as usize] |= 1u64 << ((target >> 6) & 63);
                     0
                 };
-                sh.arr_meta[target as usize] = (new_tag << 8) | (len + 1);
+                sh.arr_meta[target as usize] = (new_tag << 16) | (len + 1);
                 sh.arrivals[(target * stride + len) as usize] = pkt;
                 arrivals_count += 1;
             }
@@ -901,18 +943,6 @@ impl<O: RouteObserver> SoaEngine<O> {
     pub fn into_parts(mut self) -> (RouteStats, Option<RunRecord>) {
         self.stats.steps_run = self.now;
         (self.stats, self.record)
-    }
-}
-
-impl<O: RouteObserver> SlotView for SoaEngine<O> {
-    #[inline]
-    fn network(&self) -> &LeveledNetwork {
-        &self.net
-    }
-
-    #[inline]
-    fn slot_free(&self, mv: DirectedEdge) -> bool {
-        !bit_get(&self.slot_words, mv.slot_index() as u32)
     }
 }
 

@@ -46,8 +46,8 @@ impl serde::Serialize for RouteStats {
 impl RouteStats {
     /// Empty statistics for `n` packets. The per-step active-count trace
     /// starts disabled; enable it by setting
-    /// [`RouteStats::active_trace`] to `Some` (the engine's builder does
-    /// this for `SimulationBuilder::trace(true)`).
+    /// [`RouteStats::active_trace`] to `Some` (`SoaEngine::new` does
+    /// this when its `trace` flag is set).
     pub fn new(n: usize) -> Self {
         RouteStats {
             injected_at: vec![None; n],

@@ -16,20 +16,21 @@
 //!
 //! In-network packets obey the unchanged hot-potato constraints (every
 //! active packet moves every step, one packet per edge per direction,
-//! absorb on arrival), resolved per node with the shared
-//! [`conflict`] routine and safe backward deflections. The run ends when
-//! every arrival has been delivered or dropped and the network has
-//! drained, or at the step cap.
+//! absorb on arrival), dispatched by the greedy step the batch baselines
+//! use ([`GreedyStep`]) on the [`SoaEngine`]. The run ends when every
+//! arrival has been delivered or dropped and the network has drained, or
+//! at the step cap.
 //!
 //! The driver emits the standard engine events plus the two streaming
 //! events ([`RouteObserver::on_arrival`] / [`RouteObserver::on_drop`]),
 //! so metrics, JSONL traces, live serving, and replay verification all
 //! work on open-ended runs through the existing observer path.
 
-use crate::conflict::{self, Contender};
-use crate::engine::{ExitKind, InjectOutcome, Simulation};
+use crate::engine::InjectOutcome;
+use crate::greedy_step::GreedyStep;
 use crate::observe::{NoopObserver, RouteObserver};
 use crate::record::RunRecord;
+use crate::soa::SoaEngine;
 use crate::stats::{RouteStats, Time};
 use rand::Rng;
 use routing_core::RoutingProblem;
@@ -56,8 +57,8 @@ impl Default for AdmissionControl {
     }
 }
 
-/// Conflict-resolution priority rule for in-network streaming packets
-/// (the same rules as the greedy baseline).
+/// Conflict-resolution priority rule of the greedy step, shared by the
+/// streaming driver and the greedy baseline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum StreamPriority {
     /// All packets equal; conflicts resolved uniformly at random.
@@ -70,11 +71,27 @@ pub enum StreamPriority {
 }
 
 impl StreamPriority {
+    /// The priority of packet `pkt` under this rule (higher wins): its
+    /// remaining current-path length under furthest-to-go, its
+    /// deflections so far under aging.
+    #[inline]
+    pub fn priority_of<O: RouteObserver>(self, sim: &SoaEngine<O>, pkt: u32) -> u32 {
+        let i = pkt as usize;
+        match self {
+            StreamPriority::Uniform => 0,
+            StreamPriority::FurthestToGo => sim
+                .shared()
+                .flight
+                .get(i)
+                .map_or(0, |f| f.dev_depth + (f.path_end - f.path_next)),
+            StreamPriority::Aging => sim.stats().deflections.get(i).copied().unwrap_or(0),
+        }
+    }
+
     /// The priority rule a run spec's algorithm name selects in
-    /// streaming mode. The streaming driver runs the shared
-    /// conflict-resolution core directly, so only the priority-rule
-    /// algorithms map onto it (the Busch phase algorithm and the
-    /// store-and-forward baselines are batch-only).
+    /// streaming mode. The streaming driver runs the greedy step, so
+    /// only the priority-rule algorithms map onto it (the Busch phase
+    /// algorithm and the store-and-forward baselines are batch-only).
     pub fn for_algo(algo: &str) -> Result<StreamPriority, String> {
         match algo {
             "greedy" => Ok(StreamPriority::Uniform),
@@ -155,8 +172,6 @@ impl StreamingOutcome {
 /// step `schedule[i]` and flows through admission control. Deterministic
 /// given the rng state. `schedule.len()` must equal the problem's packet
 /// count.
-///
-/// The streaming loop executes on the scalar [`Simulation`] substrate.
 pub fn route_streaming<R: Rng + ?Sized>(
     problem: &Arc<RoutingProblem>,
     schedule: &[Time],
@@ -178,17 +193,13 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let n = problem.num_packets();
     // lint: allow-panic(api precondition: the schedule/packet arity contract is the fn's one caller-facing assert)
     assert_eq!(schedule.len(), n, "arrival schedule must time every packet");
-    let mut sim = Simulation::builder(Arc::clone(problem), vec![(); n])
-        .trace(cfg.trace)
-        .recording(cfg.record)
-        .observer(observer)
-        .build();
+    let mut sim = SoaEngine::new(Arc::clone(problem), cfg.trace, cfg.record, observer);
+    let mut step = GreedyStep::new(problem.network_arc());
 
     // Arrival order: by step, ties by packet id (generators emit
     // non-decreasing schedules, but an explicit schedule need not be).
     let mut order: Vec<u32> = (0..n as u32).collect();
-    // lint: allow-panic(p ranges over 0..n and schedule.len() == n per the arity assert above)
-    order.sort_by_key(|&p| (schedule[p as usize], p));
+    order.sort_by_key(|&p| (schedule.get(p as usize).copied(), p));
     let mut next_arrival = 0usize;
 
     // The injection queue, in arrival order. `retain` keeps blocked
@@ -199,12 +210,6 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
     let mut dropped = 0u64;
     let mut peak_deferred = 0usize;
     let mut peak_in_flight = 0usize;
-    let mut total_moves = 0u64;
-
-    let mut arrivals_buf: Vec<u32> = Vec::new();
-    let mut contenders: Vec<Contender> = Vec::new();
-    let mut nodes_buf: Vec<leveled_net::NodeId> = Vec::new();
-    let mut scratch = conflict::ConflictScratch::default();
 
     loop {
         let all_arrived = next_arrival >= n;
@@ -217,71 +222,12 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         let now = sim.now();
 
         // 1. Every in-network packet must be staged an exit (no rest).
-        sim.occupied_nodes_into(&mut nodes_buf);
-        for &v in &nodes_buf {
-            arrivals_buf.clear();
-            arrivals_buf.extend_from_slice(sim.arrivals(v));
-            contenders.clear();
-            for &p in &arrivals_buf {
-                let desired = sim
-                    .next_move_of(p)
-                    // lint: allow-panic(engine invariant: an active packet is off-destination, so next_move_of is Some)
-                    .expect("active packets are not at their destination");
-                let priority = match cfg.priority {
-                    StreamPriority::Uniform => 0,
-                    StreamPriority::FurthestToGo => {
-                        let pkt = sim.packet(p);
-                        let remaining =
-                            pkt.deviation_depth() + (sim.path_of(p).len() - pkt.base_idx());
-                        remaining as u32
-                    }
-                    StreamPriority::Aging => sim.packet(p).deflections(),
-                };
-                contenders.push(Contender {
-                    pkt: p,
-                    desired,
-                    priority,
-                    arrival: sim.packet(p).last_move,
-                });
-            }
-            // lint: allow-panic(RangeFull slicing of a Vec cannot panic)
-            if let [c] = contenders[..] {
-                sim.stage_exit(c.pkt, c.desired, ExitKind::Advance)
-                    // lint: allow-panic(engine invariant: a lone contender's desired slot is free by the bufferless law)
-                    .expect("lone desired slot is free");
-                continue;
-            }
-            let exits = conflict::resolve_into(
-                &sim,
-                v,
-                &contenders,
-                conflict::DeflectRule::SafeBackward {
-                    allow_fallback: true,
-                },
-                rng,
-                &mut scratch,
-            )
-            // lint: allow-panic(engine invariant: fallback resolution always succeeds within the degree bound)
-            .expect("fallback resolution cannot fail within degree bound");
-            for &e in exits {
-                let kind = if e.won {
-                    ExitKind::Advance
-                } else {
-                    ExitKind::Deflect { safe: e.safe }
-                };
-                sim.stage_exit(e.pkt, e.mv, kind)
-                    // lint: allow-panic(engine invariant: the resolver emits only feasible exits)
-                    .expect("resolver produces feasible exits");
-            }
-        }
+        step.dispatch(&mut sim, |sim, p| cfg.priority.priority_of(sim, p), rng);
 
         // 2. Arrival intake: packets whose step has come enter the
         // queue, or are dropped if the queue is at its bound.
-        while next_arrival < n {
-            // lint: allow-panic(loop guard: next_arrival < n and order has exactly n entries)
-            let p = order[next_arrival];
-            // lint: allow-panic(p < n indexes the length-asserted schedule)
-            if schedule[p as usize] > now {
+        while let Some(&p) = order.get(next_arrival) {
+            if schedule.get(p as usize).is_some_and(|&t| t > now) {
                 break;
             }
             next_arrival += 1;
@@ -306,8 +252,7 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
             if budget == 0 {
                 return true;
             }
-            // lint: allow-panic(admission invariant: the deferred queue holds only pending packets)
-            match sim.try_inject(p).expect("queued packets are pending") {
+            match sim.try_inject(p) {
                 InjectOutcome::Injected => {
                     budget -= 1;
                     admitted += 1;
@@ -321,17 +266,14 @@ pub fn route_streaming_observed<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
             }
         });
 
-        // lint: allow-panic(engine invariant: pass 1 staged an exit for every occupied node)
-        let report = sim.finish_step().expect("all arrivals staged");
-        total_moves += report.moved as u64;
+        step.commit(&mut sim);
         peak_in_flight = peak_in_flight.max(sim.active_count());
     }
 
     let drained = next_arrival >= n && queue.is_empty() && sim.active_count() == 0;
-    let (mut stats, record) = sim.into_parts();
+    let (mut stats, record) = step.into_parts(sim);
     stats.bump_by("arrivals", arrivals);
     stats.bump_by("admitted", admitted);
-    stats.counters.insert("moves", total_moves);
     StreamingOutcome {
         stats,
         record,

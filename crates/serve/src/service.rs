@@ -15,7 +15,7 @@ use crate::prom::{Kind, PromWriter};
 use baselines::{
     GreedyConfig, GreedyPriority, GreedyRouter, RandomPriorityRouter, StoreForwardRouter,
 };
-use busch_router::{BuschConfig, BuschRouter, Params};
+use busch_router::{BuschRouter, Params};
 use hotpotato_sim::{
     route_streaming_observed, AdmissionControl, Router, SnapshotReader, StreamPriority,
     StreamingConfig,
@@ -60,18 +60,15 @@ impl RunConfig {
 
 /// Builds the router the CLI would build for `algo` (default
 /// configurations; `record` off — the service audits nothing offline).
-/// `engine` selects the Busch router's substrate; the baselines run on
-/// the scalar engine regardless.
+/// Every router runs on the one bufferless engine; the [`EngineKind`]
+/// argument remains for callers that pass [`RunSpec::engine_kind`].
 pub fn build_router(
     algo: &str,
     problem: &RoutingProblem,
-    engine: EngineKind,
+    _engine: EngineKind,
 ) -> Result<Box<dyn Router>, String> {
     Ok(match algo {
-        "busch" => Box::new(BuschRouter::with_config(BuschConfig::with_engine(
-            Params::auto(problem),
-            engine,
-        ))),
+        "busch" => Box::new(BuschRouter::new(Params::auto(problem))),
         "greedy" | "ftg" => Box::new(GreedyRouter::with_config(GreedyConfig {
             priority: if algo == "ftg" {
                 GreedyPriority::FurthestToGo

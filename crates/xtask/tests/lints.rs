@@ -89,7 +89,7 @@ fn closure_lint_fires_on_seeded_transitive_allocation() {
 
 #[test]
 fn closure_fixture_is_invisible_to_the_intraprocedural_lint() {
-    // The acceptance criterion for the call-graph layer: the seeded
+    // The property that justifies the call-graph layer: the seeded
     // allocation sits two calls below the hot-path fn, so the old
     // per-function `hot-path-alloc` must see a clean tree while the
     // closure lint flags it.

@@ -9,7 +9,7 @@
 //! |---|---|
 //! | leveled network, depth `L` | [`leveled_net::LeveledNetwork`] (levels `0..=L`, edges between consecutive levels only, enforced by [`leveled_net::NetworkBuilder`]) |
 //! | butterfly, mesh (4 ways), arrays, hypercube, trees, fat-tree, shuffle-exchange | [`leveled_net::builders`] |
-//! | synchronous steps, one packet per link per direction | [`hotpotato_sim::Simulation`]: per-step slot table (`2·E` slots), staged exits |
+//! | synchronous steps, one packet per link per direction | [`hotpotato_sim::SoaEngine`]: per-step slot bitset (`2·E` slots), exits staged through a [`hotpotato_sim::BandStage`] |
 //! | bufferless: every arriving packet leaves next step | [`hotpotato_sim::SimError::PacketRested`] — the engine *fails* a step that leaves a packet resting |
 //! | many-to-one problems (≤ 1 packet per source) | [`routing_core::RoutingProblem::new`]; the relaxed many-to-many variant (reference \[7\]) is [`routing_core::RoutingProblem::new_relaxed`] |
 //! | congestion `C`, dilation `D` | [`routing_core::RoutingProblem::congestion`], [`routing_core::RoutingProblem::dilation`] |
@@ -31,9 +31,10 @@
 //! * *Valid paths* — [`routing_core::Path`]: constructor-validated
 //!   forward chains.
 //! * *Current path* = preselected path + deviation stack —
-//!   [`hotpotato_sim::SimPacket`]: a deflection pushes the undo move, a
-//!   re-traversal pops it; the paper's "edge recycling" between path
-//!   lists is this push/pop pair, and path-distance is the stack depth.
+//!   [`hotpotato_sim::SoaShared`] (`next_move`, `current_path_edges`): a
+//!   deflection pushes the undo move, a re-traversal pops it; the paper's
+//!   "edge recycling" between path lists is this push/pop pair, and
+//!   path-distance is the stack depth.
 //! * *Safe backward deflection* (Lemma 2.1) —
 //!   [`hotpotato_sim::conflict::resolve`]: winners per slot by priority,
 //!   losers deflected backward onto forward-arrival edges (own edge
@@ -61,7 +62,8 @@
 //! * **Packet injection** — the agenda admits each packet at its
 //!   injection phase and retries while the first edge is busy; isolation
 //!   is audited (`I_a`), not assumed.
-//! * **Packet states** — [`busch_router::PacketState`]:
+//! * **Packet states** — per-packet tags in the driver
+//!   ([`busch_router::router`] documents the rules):
 //!   `Normal`, `Excited` (entered with probability `q` per step, highest
 //!   priority, demoted on deflection and at round ends), `Wait { edge }`
 //!   (lowest priority, oscillating on the arrival edge; demoted on

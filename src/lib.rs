@@ -39,7 +39,7 @@ pub mod prelude {
     pub use busch_router::{BuschConfig, BuschOutcome, BuschRouter, Params};
     pub use hotpotato_sim::{
         JsonlTraceObserver, MetricsObserver, NoopObserver, RouteObserver, RouteOutcome, RouteStats,
-        Router, SectionProfiler, Simulation, SimulationBuilder,
+        Router, SectionProfiler, SoaEngine,
     };
     pub use leveled_net::{builders, Direction, EdgeId, LeveledNetwork, NodeId};
     pub use routing_core::{paths, workloads, Path, RoutingProblem};

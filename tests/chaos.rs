@@ -8,8 +8,10 @@
 //!   the replay auditor must flag every corruption that changes semantics.
 
 use hotpotato_routing::prelude::*;
+use hotpotato_sim::conflict::SlotView;
 use hotpotato_sim::replay::{self, ReplayError};
-use hotpotato_sim::{ExitKind, InjectOutcome, Simulation};
+use hotpotato_sim::soa::{pack_move, KIND_ADVANCE, KIND_DEFLECT_FREE};
+use hotpotato_sim::{BandStage, InjectOutcome};
 use leveled_net::ids::DirectedEdge;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -26,42 +28,33 @@ fn chaos_run(
 ) -> (hotpotato_sim::RouteStats, hotpotato_sim::RunRecord) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = problem.num_packets();
-    let mut sim = Simulation::builder(Arc::clone(problem), vec![(); n])
-        .recording(true)
-        .build();
+    let mut sim: SoaEngine = SoaEngine::new(Arc::clone(problem), false, true, NoopObserver);
+    let mut band = BandStage::new(problem.network_arc());
     let mut pending: Vec<u32> = (0..n as u32).collect();
 
     while !sim.is_done() && sim.now() < max_steps {
-        for v in sim.occupied_nodes() {
-            let arrivals = sim.arrivals(v).to_vec();
+        let sh = sim.shared();
+        for &v in &sh.occupied {
             // Assign each arriving packet a random free exit: legal but
             // completely structure-free routing.
-            let mut exits: Vec<DirectedEdge> = sim
+            let mut exits: Vec<DirectedEdge> = problem
                 .network()
-                .exits(v)
-                .filter(|&mv| sim.slot_free(mv))
+                .exits(NodeId(v))
+                .filter(|&mv| band.slot_free(mv))
                 .collect();
             exits.shuffle(&mut rng);
-            for (pkt, mv) in arrivals.into_iter().zip(exits) {
-                let kind = if Some(mv) == sim.next_move_of(pkt) {
-                    ExitKind::Advance
+            for (&pkt, mv) in sh.arrivals(v).iter().zip(exits) {
+                let kind = if pack_move(mv) == sh.next_move(pkt) {
+                    KIND_ADVANCE
                 } else {
-                    ExitKind::Deflect { safe: false }
+                    KIND_DEFLECT_FREE
                 };
-                sim.stage_exit(pkt, mv, kind).expect("free slot");
+                band.stage(pkt, pack_move(mv), kind);
             }
         }
+        sim.merge_band(&mut band);
         // Random-subset injection this step.
-        pending.retain(|&p| {
-            if rng.gen_bool(0.3) {
-                !matches!(
-                    sim.try_inject(p).expect("pending"),
-                    InjectOutcome::Injected | InjectOutcome::DeliveredTrivially
-                )
-            } else {
-                true
-            }
-        });
+        pending.retain(|&p| !rng.gen_bool(0.3) || sim.try_inject(p) == InjectOutcome::Blocked);
         sim.finish_step().expect("all arrivals staged");
     }
     let (stats, record) = sim.into_parts();

@@ -15,7 +15,7 @@
 //! HOTPOTATO_BLESS=1 cargo test --test golden_equivalence
 //! ```
 
-use busch_router::{BuschConfig, BuschOutcome, BuschRouter, EngineKind, Params};
+use busch_router::{BuschConfig, BuschOutcome, BuschRouter, Params};
 use hotpotato_sim::{
     route_streaming_observed, AdmissionControl, ExitKind, JsonlTraceObserver, RouteStats,
     RunRecord, StreamPriority, StreamingConfig,
@@ -282,7 +282,6 @@ fn observed_run_matches_unobserved_golden() {
 fn busch_run(spec: &str, seed: u64) -> (BuschOutcome, Vec<u8>) {
     let (_, problem, _) = parse_run_spec(spec).unwrap().instantiate().unwrap();
     let cfg = BuschConfig {
-        engine: EngineKind::Scalar,
         record: true,
         trace: true,
         ..BuschConfig::new(Params::auto(&problem))
@@ -343,7 +342,6 @@ fn busch_deflections_match_golden() {
         .instantiate()
         .unwrap();
     let cfg = BuschConfig {
-        engine: EngineKind::Scalar,
         record: true,
         ..BuschConfig::new(Params::auto(&prob))
     };

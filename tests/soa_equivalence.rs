@@ -1,19 +1,15 @@
-//! Golden equivalence of the data-oriented engine against the scalar
-//! oracle, and determinism of the intra-run banded mode.
+//! Determinism of the intra-run banded mode, and offline verification
+//! of the engine's trace stream.
 //!
-//! The scalar engine ([`hotpotato_sim::Simulation`]) remains the
-//! reference implementation; the SoA engine must reproduce it **bit for
-//! bit** in sequential mode — identical `RouteStats` (every array, every
-//! counter), identical movement records, and byte-identical JSONL trace
-//! streams — on instances that exercise injections, conflicts, both
-//! deflection kinds, and wait oscillation. The banded mode
-//! ([`BuschConfig::parallel_bands`]) is *not* stream-compatible with the
-//! scalar rng discipline, but must be a pure function of (problem,
-//! seed): sweeping `HOTPOTATO_THREADS` across {1, 2, 8} — which toggles
-//! between in-thread band execution and the worker pool — must not move
-//! a single event.
+//! The banded mode ([`BuschConfig::parallel_bands`]) draws from per-band
+//! rng streams, so it is not stream-compatible with the sequential
+//! driver, but it must be a pure function of (problem, seed): sweeping
+//! `HOTPOTATO_THREADS` across {1, 2, 8} — which toggles between
+//! in-thread band execution and the worker pool — must not move a single
+//! event. The sequential runs themselves are pinned by the goldens in
+//! `tests/golden_equivalence.rs`.
 
-use busch_router::{BuschConfig, BuschOutcome, BuschRouter, EngineKind, Params};
+use busch_router::{BuschConfig, BuschOutcome, BuschRouter, Params};
 use hotpotato_sim::{JsonlTraceObserver, RouteStats};
 use hotpotato_trace::schema::{self, Trace};
 use hotpotato_trace::verify::verify_trace;
@@ -23,17 +19,14 @@ use routing_core::spec;
 use routing_core::RoutingProblem;
 use std::sync::Arc;
 
-/// Runs the busch router on `problem` with the given engine, capturing
-/// the JSONL event stream.
+/// Runs the busch router on `problem`, capturing the JSONL event stream.
 fn run(
     problem: &Arc<RoutingProblem>,
     params: Params,
-    engine: EngineKind,
     parallel_bands: bool,
     seed: u64,
 ) -> (BuschOutcome, Vec<u8>) {
     let cfg = BuschConfig {
-        engine,
         parallel_bands,
         record: true,
         trace: true,
@@ -70,42 +63,14 @@ fn assert_outcomes_identical(a: &BuschOutcome, b: &BuschOutcome) {
     assert_eq!(ra.trivial, rb.trivial, "trivial deliveries");
 }
 
-/// Scalar and SoA engines on butterfly(10) bit-reversal — ~1k packets,
-/// heavy conflicts — must agree on everything, to the byte.
-#[test]
-fn soa_matches_scalar_on_butterfly_bitrev() {
-    let (_, problem) = spec::reconstruct_problem("butterfly:10", "bitrev", 42).unwrap();
-    let params = Params::auto(&problem);
-    let (scalar, scalar_trace) = run(&problem, params, EngineKind::Scalar, false, 7);
-    let (soa, soa_trace) = run(&problem, params, EngineKind::Soa, false, 7);
-    assert!(scalar.stats.all_delivered(), "oracle run must deliver");
-    assert_outcomes_identical(&scalar, &soa);
-    assert_eq!(
-        scalar_trace, soa_trace,
-        "JSONL trace streams must be byte-identical"
-    );
-}
-
-/// Same contract on the §5 mesh application: 8×8 transpose.
-#[test]
-fn soa_matches_scalar_on_mesh_transpose() {
-    let (_, problem) = spec::reconstruct_problem("mesh:8x8", "transpose", 0).unwrap();
-    let params = Params::auto(&problem);
-    let (scalar, scalar_trace) = run(&problem, params, EngineKind::Scalar, false, 11);
-    let (soa, soa_trace) = run(&problem, params, EngineKind::Soa, false, 11);
-    assert!(scalar.stats.all_delivered(), "oracle run must deliver");
-    assert_outcomes_identical(&scalar, &soa);
-    assert_eq!(scalar_trace, soa_trace, "JSONL trace streams");
-}
-
-/// The SoA engine's trace stream passes the offline verifier: wrap the
+/// The engine's trace stream passes the offline verifier: wrap the
 /// events in the meta/stats envelope the CLI writes and re-run the
 /// whole stream against the model from scratch.
 #[test]
 fn soa_trace_verifies_offline() {
     let (topo, problem) = spec::reconstruct_problem("butterfly:10", "bitrev", 42).unwrap();
     let params = Params::auto(&problem);
-    let (out, events) = run(&problem, params, EngineKind::Soa, false, 7);
+    let (out, events) = run(&problem, params, false, 7);
     let meta = schema::Meta {
         schema: schema::SCHEMA_VERSION,
         topo: "butterfly:10".into(),
@@ -124,7 +89,7 @@ fn soa_trace_verifies_offline() {
     text.push_str(&schema::stats_line(&out.stats));
     text.push('\n');
     let trace = Trace::parse(&text).expect("trace parses");
-    let report = verify_trace(&trace).expect("SoA trace verifies clean");
+    let report = verify_trace(&trace).expect("trace verifies clean");
     assert_eq!(report.delivered, problem.num_packets());
     assert!(report.replay_cross_checked);
 }
@@ -142,7 +107,7 @@ fn banded_runs_identical_across_thread_counts() {
     let mut outcomes: Vec<(BuschOutcome, Vec<u8>)> = Vec::new();
     for threads in ["1", "2", "8"] {
         std::env::set_var("HOTPOTATO_THREADS", threads);
-        outcomes.push(run(&problem, params, EngineKind::Soa, true, 99));
+        outcomes.push(run(&problem, params, true, 99));
     }
     std::env::remove_var("HOTPOTATO_THREADS");
     let (first, first_trace) = &outcomes[0];
@@ -160,7 +125,7 @@ fn banded_runs_identical_across_thread_counts() {
 fn banded_mode_keeps_invariants_clean_on_line() {
     let (_, problem) = spec::reconstruct_problem("linear:12", "level:0:11", 3).unwrap();
     let params = Params::scaled(4, 12, 0.05, 1);
-    let (out, _) = run(&problem, params, EngineKind::Soa, true, 13);
+    let (out, _) = run(&problem, params, true, 13);
     assert!(out.stats.all_delivered());
     assert!(out.invariants.is_clean(), "{}", out.invariants.summary());
 }
