@@ -1109,4 +1109,198 @@ mod tests {
         let edges: Vec<EdgeId> = sim.shared().current_path_edges(0).collect();
         assert_eq!(edges, vec![EdgeId(1), EdgeId(2), EdgeId(3)]);
     }
+
+    /// Stages `exits` on `band`, merges them and commits the step.
+    fn step(
+        sim: &mut SoaEngine,
+        band: &mut BandStage,
+        exits: &[(u32, DirectedEdge, u8)],
+    ) -> StepReport {
+        for &(p, mv, kind) in exits {
+            band.stage(p, pack_move(mv), kind);
+        }
+        sim.merge_band(band);
+        sim.finish_step().unwrap()
+    }
+
+    #[test]
+    fn both_directions_of_an_edge_usable_in_one_step() {
+        // At t=1, p1 crosses edge (1,2) forward while p0 crosses it
+        // backward — the paper's "at most two packets per link, one per
+        // direction" rule.
+        let prob = line_problem(vec![vec![1, 2, 3], vec![0, 1, 2]]);
+        let net = prob.network_arc();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        sim.try_inject(0);
+        sim.try_inject(1);
+        sim.finish_step().unwrap();
+        let mut band = BandStage::new(net);
+        let fwd = DirectedEdge::forward(EdgeId(1));
+        assert_eq!(sim.shared().next_move(1), pack_move(fwd));
+        let report = step(
+            &mut sim,
+            &mut band,
+            &[
+                (1, fwd, KIND_ADVANCE),
+                (0, fwd.reversed(), KIND_DEFLECT_SAFE),
+            ],
+        );
+        assert_eq!(report.moved, 2);
+        assert_eq!(sim.shared().flight[0].node, 1);
+        assert_eq!(sim.status(1), STATUS_DELIVERED);
+    }
+
+    #[test]
+    fn oscillation_is_push_pop_neutral() {
+        // Moving back and forth across an edge (the wait-state
+        // oscillation) leaves the current path unchanged: the edge
+        // "remains in the path list" (paper §3) and nothing deflects.
+        let prob = line_problem(vec![vec![0, 1, 2, 3, 4]]);
+        let net = prob.network_arc();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        sim.try_inject(0);
+        sim.finish_step().unwrap();
+        let mut band = BandStage::new(net);
+        step(
+            &mut sim,
+            &mut band,
+            &[(0, DirectedEdge::forward(EdgeId(1)), KIND_ADVANCE)],
+        );
+        let before: Vec<EdgeId> = sim.shared().current_path_edges(0).collect();
+        for _ in 0..3 {
+            let back = DirectedEdge::backward(EdgeId(1));
+            let report = step(&mut sim, &mut band, &[(0, back, KIND_OSCILLATE)]);
+            assert_eq!(report.oscillations, 1);
+            step(&mut sim, &mut band, &[(0, back.reversed(), KIND_OSCILLATE)]);
+        }
+        let after: Vec<EdgeId> = sim.shared().current_path_edges(0).collect();
+        assert_eq!(sim.shared().flight[0].node, 2);
+        assert_eq!(before, after);
+        assert_eq!(sim.stats().deflections[0], 0);
+    }
+
+    #[test]
+    fn nested_deflections_unwind_in_order() {
+        let prob = line_problem(vec![vec![0, 1, 2, 3, 4]]);
+        let net = prob.network_arc();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        sim.try_inject(0);
+        sim.finish_step().unwrap();
+        let mut band = BandStage::new(net);
+        for e in [1, 2] {
+            step(
+                &mut sim,
+                &mut band,
+                &[(0, DirectedEdge::forward(EdgeId(e)), KIND_ADVANCE)],
+            );
+        }
+        // Two consecutive backward deflections: 3 -> 2 -> 1.
+        for e in [2, 1] {
+            let mv = DirectedEdge::backward(EdgeId(e));
+            step(&mut sim, &mut band, &[(0, mv, KIND_DEFLECT_SAFE)]);
+        }
+        let sh = sim.shared();
+        assert_eq!(sh.flight[0].node, 1);
+        assert_eq!(sh.flight[0].dev_depth, 2);
+        assert!(sh.validate_current_path(sim.net(), 0));
+        // Unwind: the undo moves come back in stack order.
+        assert_eq!(sh.next_move(0), pack_move(DirectedEdge::forward(EdgeId(1))));
+        step(
+            &mut sim,
+            &mut band,
+            &[(0, DirectedEdge::forward(EdgeId(1)), KIND_ADVANCE)],
+        );
+        assert_eq!(
+            sim.shared().next_move(0),
+            pack_move(DirectedEdge::forward(EdgeId(2)))
+        );
+        step(
+            &mut sim,
+            &mut band,
+            &[(0, DirectedEdge::forward(EdgeId(2)), KIND_ADVANCE)],
+        );
+        assert_eq!(sim.shared().flight[0].node, 3);
+        assert_eq!(sim.shared().flight[0].dev_depth, 0);
+        assert_eq!(sim.stats().max_deviation[0], 2);
+    }
+
+    #[test]
+    fn forward_deflection_invalidates_the_current_path() {
+        // A *forward* off-path move (possible under unsafe fallback)
+        // leaves a current path that is no longer a valid forward path
+        // in the paper's sense; undoing it restores the preselected one.
+        let mut b = leveled_net::NetworkBuilder::new("diamond");
+        let n0 = b.add_node(0);
+        let n1 = b.add_node(1);
+        let n2 = b.add_node(1);
+        let n3 = b.add_node(2);
+        let e01 = b.add_edge(n0, n1).unwrap();
+        let e02 = b.add_edge(n0, n2).unwrap();
+        let e13 = b.add_edge(n1, n3).unwrap();
+        b.add_edge(n2, n3).unwrap();
+        let net = Arc::new(b.build().unwrap());
+        let path = Path::new(&net, n0, vec![e01, e13]).unwrap();
+        let prob = Arc::new(RoutingProblem::new(Arc::clone(&net), vec![path]).unwrap());
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        // Inject along e01, bounce back to n0, then deflect forward onto
+        // the wrong branch.
+        sim.try_inject(0);
+        sim.finish_step().unwrap();
+        let mut band = BandStage::new(Arc::clone(&net));
+        step(
+            &mut sim,
+            &mut band,
+            &[(0, DirectedEdge::backward(e01), KIND_DEFLECT_SAFE)],
+        );
+        assert!(sim.shared().validate_current_path(&net, 0));
+        step(
+            &mut sim,
+            &mut band,
+            &[(0, DirectedEdge::forward(e02), KIND_DEFLECT_FREE)],
+        );
+        assert_eq!(sim.shared().flight[0].node, n2.0);
+        assert!(!sim.shared().validate_current_path(&net, 0));
+        // The undo stack still leads home.
+        let undo = sim.shared().next_move(0);
+        assert_eq!(undo, pack_move(DirectedEdge::backward(e02)));
+        step(&mut sim, &mut band, &[(0, unpack_move(undo), KIND_ADVANCE)]);
+        assert!(sim.shared().validate_current_path(&net, 0));
+    }
+
+    #[test]
+    fn step_report_accounts_every_move_kind() {
+        let prob = line_problem(vec![vec![0, 1, 2], vec![1, 2, 3]]);
+        let net = prob.network_arc();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        sim.try_inject(0);
+        let r = sim.finish_step().unwrap();
+        assert_eq!((r.injected, r.moved), (1, 1));
+        // p0 at n1 oscillates backward over edge 0 while p1 injects from
+        // n1 over edge 1: different slots, both move.
+        let mut band = BandStage::new(net);
+        band.stage(
+            0,
+            pack_move(DirectedEdge::backward(EdgeId(0))),
+            KIND_OSCILLATE,
+        );
+        sim.merge_band(&mut band);
+        assert_eq!(sim.try_inject(1), InjectOutcome::Injected);
+        let r = sim.finish_step().unwrap();
+        assert_eq!(r.moved, 2);
+        assert_eq!(r.oscillations, 1);
+        assert_eq!(r.injected, 1);
+        assert_eq!(r.deflections, 0);
+    }
+
+    #[test]
+    fn occupied_nodes_are_ascending() {
+        let prob = line_problem(vec![vec![3, 4, 5], vec![1, 2, 3], vec![0, 1, 2]]);
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        for p in [2u32, 0, 1] {
+            sim.try_inject(p);
+        }
+        sim.finish_step().unwrap();
+        assert_eq!(sim.shared().occupied, vec![1, 2, 4]);
+        assert_eq!(sim.active_count(), 3);
+    }
 }

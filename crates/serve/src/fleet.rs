@@ -724,6 +724,20 @@ mod tests {
         assert_eq!(run_fleet_spec(&spec, false).unwrap(), sample);
     }
 
+    /// A node of degree 260 (the middle level of `complete:3x130`) once
+    /// overflowed the engine's arrival bookkeeping and panicked the
+    /// worker; both the Busch and the greedy path now route and verify.
+    #[test]
+    fn high_degree_specs_run_on_the_fleet_path() {
+        for algo in ["busch", "greedy"] {
+            let spec =
+                routing_core::spec::parse_run_spec(&format!("complete:3x130/pairs:20/{algo}/1"))
+                    .unwrap();
+            let sample = run_fleet_spec(&spec, true).expect("clean run");
+            assert_eq!(sample.delivered, sample.packets, "{algo}");
+        }
+    }
+
     #[test]
     fn kept_envelope_buffers_do_not_change_samples() {
         let big = routing_core::spec::parse_run_spec("bf:6/bitrev/busch/3").unwrap();

@@ -557,3 +557,37 @@ pub fn into_handler(service: Service) -> Arc<dyn Fn(&Request) -> Response + Send
     let service = Arc::new(service);
     Arc::new(move |req: &Request| service.handle(req))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hotpotato_sim::{ExitKind, RouteObserver, Time};
+    use leveled_net::ids::DirectedEdge;
+
+    /// Counts move events: one per entry of the run's movement record.
+    #[derive(Default)]
+    struct MoveCount(u64);
+
+    impl RouteObserver for MoveCount {
+        fn on_move(&mut self, _t: Time, _pkt: u32, _mv: DirectedEdge, _kind: ExitKind) {
+            self.0 += 1;
+        }
+    }
+
+    /// Every bufferless router `build_router` returns reports its moves:
+    /// the `moves` counter equals the number of recorded moves.
+    #[test]
+    fn every_bufferless_router_counts_its_moves() {
+        for algo in ["busch", "greedy", "ftg", "rank"] {
+            let spec =
+                routing_core::spec::parse_run_spec(&format!("bf:5/bitrev/{algo}/3")).unwrap();
+            let (_, problem, mut rng) = spec.instantiate().unwrap();
+            let router = build_router(algo, &problem, spec.engine_kind()).unwrap();
+            let mut moves = MoveCount::default();
+            let out = router.route(&problem, &mut rng, &mut moves);
+            assert!(out.stats.all_delivered(), "{algo}");
+            assert!(moves.0 > 0, "{algo}");
+            assert_eq!(out.stats.counter("moves"), moves.0, "{algo}");
+        }
+    }
+}

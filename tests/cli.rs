@@ -191,3 +191,86 @@ fn deterministic_given_seed() {
     };
     assert_eq!(run(), run());
 }
+
+/// Nodes of degree above 255 route: the middle level of `complete:3x130`
+/// has degree 260, which the engine's arrival bookkeeping once could not
+/// encode (the run panicked).
+#[test]
+fn high_degree_topology_routes() {
+    for algo in ["busch", "greedy"] {
+        let (out, err, code) = hotpotato(&[
+            "route",
+            "--topo",
+            "complete:3x130",
+            "--workload",
+            "pairs:20",
+            "--algo",
+            algo,
+            "--verify",
+        ]);
+        assert_eq!(code, 0, "{algo}: {out}\n{err}");
+        assert!(out.contains("replay:   VERIFIED"), "{algo}: {out}");
+    }
+}
+
+/// A flag the subcommand does not know is a usage error, not silently
+/// ignored — including the removed `--engine`.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let route = ["route", "--topo", "butterfly:4", "--workload", "bitrev"];
+    for extra in [
+        &["--bogus-flag", "3"][..],
+        &["--engine", "soa"],
+        &["--engine", "scalar"],
+    ] {
+        let args: Vec<&str> = route.iter().chain(extra).copied().collect();
+        let (out, err, code) = hotpotato(&args);
+        assert_eq!(code, 2, "{extra:?}: {out}");
+        assert!(
+            err.contains(&format!("unknown flag '{}'", extra[0])),
+            "{err}"
+        );
+        assert!(err.contains("usage:"), "{extra:?}: {err}");
+    }
+    for args in [
+        &["topo", "butterfly:3", "--bogus"][..],
+        &["serve", "--run", "bf:4/bitrev", "--engine", "soa"],
+        &[
+            "serve",
+            "--fleet",
+            "--sweep",
+            "bf:4/bitrev/busch/1",
+            "--bogus",
+        ],
+        &["trace", "verify", "run.jsonl", "--bogus"],
+        &["params", "64", "32", "1024", "--bogus"],
+    ] {
+        let (_, err, code) = hotpotato(args);
+        assert_eq!(code, 2, "{args:?}");
+        assert!(err.contains("unknown flag '"), "{args:?}: {err}");
+    }
+    // Known flags, values that look like flags included, still pass.
+    let (_, _, code) = hotpotato(&["topo", "linear:4", "--dot"]);
+    assert_eq!(code, 0);
+}
+
+/// Every bufferless algorithm reports its move count.
+#[test]
+fn route_json_counts_moves_for_every_bufferless_algorithm() {
+    for algo in ["busch", "greedy", "ftg", "rank"] {
+        let (out, err, code) = hotpotato(&[
+            "route",
+            "--topo",
+            "butterfly:4",
+            "--workload",
+            "bitrev",
+            "--algo",
+            algo,
+            "--json",
+        ]);
+        assert_eq!(code, 0, "{algo}: {err}");
+        let doc: serde_json::Value = serde_json::from_str(&out).expect("json");
+        let moves = doc["stats"]["counters"]["moves"].as_u64();
+        assert!(moves.is_some_and(|m| m > 0), "{algo}: {out}");
+    }
+}
