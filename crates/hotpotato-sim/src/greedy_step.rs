@@ -69,11 +69,12 @@ impl GreedyStep {
             self.contenders.clear();
             for &p in arrivals {
                 let last = sh.flight[p as usize].last_move;
+                let next = sh.next_move(p);
                 debug_assert_ne!(last, NO_MOVE, "an arrival has an arrival move");
-                debug_assert_ne!(sh.next_move(p), NO_MOVE, "arrivals are not at home");
+                debug_assert_ne!(next, NO_MOVE, "arrivals are not at home");
                 self.contenders.push(Contender {
                     pkt: p,
-                    desired: unpack_move(sh.next_move(p)),
+                    desired: unpack_move(next),
                     priority: priority(sim, p),
                     arrival: Some(unpack_move(last)),
                 });
