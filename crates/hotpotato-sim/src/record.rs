@@ -99,7 +99,6 @@ pub fn level_occupancy(problem: &RoutingProblem, record: &RunRecord) -> Vec<Vec<
 /// Replay verification: see the module docs.
 pub mod replay {
     use super::*;
-    use std::collections::HashMap;
 
     /// Failure found by the auditor.
     #[derive(Clone, PartialEq, Eq, Debug)]
@@ -262,9 +261,15 @@ pub mod replay {
             }
         }
 
-        // Group events by step.
+        // Group events by step. A packet or slot is used in the current
+        // step when its stamp equals the step's: stamps are bumped per
+        // step instead of clearing the tables.
         let mut idx = 0usize;
-        let mut slot_user: HashMap<usize, PacketId> = HashMap::new();
+        let mut stamp = 0u64;
+        let mut mover_stamp = vec![0u64; n];
+        let mut slot_stamp = vec![0u64; 2 * net.num_edges()];
+        // Packets in flight (`pos` is `Some`).
+        let mut active = 0usize;
         while idx < record.moves.len() {
             let t = record.moves[idx].time;
             let start = idx;
@@ -272,29 +277,34 @@ pub mod replay {
                 idx += 1;
             }
             let step = &record.moves[start..idx];
+            stamp += 1;
 
             // Hot-potato: every active packet must appear exactly once.
-            let mut movers = vec![false; n];
-            slot_user.clear();
+            let mut active_movers = 0usize;
             for ev in step {
                 let i = ev.pkt.index();
-                if movers[i] {
+                if mover_stamp[i] == stamp {
                     return Err(ReplayError::CapacityViolation {
                         time: t,
                         pkt: ev.pkt,
                     });
                 }
-                movers[i] = true;
-                if let Some(prev) = slot_user.insert(ev.mv.slot_index(), ev.pkt) {
-                    let _ = prev;
+                mover_stamp[i] = stamp;
+                let slot = &mut slot_stamp[ev.mv.slot_index()];
+                if *slot == stamp {
                     return Err(ReplayError::CapacityViolation {
                         time: t,
                         pkt: ev.pkt,
                     });
                 }
+                *slot = stamp;
+                active_movers += usize::from(pos[i].is_some());
             }
-            for (i, p) in pos.iter().enumerate() {
-                if p.is_some() && !movers[i] {
+            // Movers are distinct, so all active packets moved exactly
+            // when as many active packets moved; only a shortfall pays
+            // for the scan that names the lowest one that rested.
+            if active_movers != active {
+                if let Some(i) = (0..n).find(|&i| pos[i].is_some() && mover_stamp[i] != stamp) {
                     return Err(ReplayError::Rested {
                         time: t,
                         pkt: PacketId(i as u32),
@@ -355,11 +365,17 @@ pub mod replay {
                 }
                 let target = net.move_target(ev.mv);
                 let dest = problem.packets()[i].path.dest(net);
+                let was_active = pos[i].is_some();
                 if target == dest {
                     delivered[i] = true;
                     pos[i] = None;
                 } else {
                     pos[i] = Some(target);
+                }
+                match (was_active, pos[i].is_some()) {
+                    (false, true) => active += 1,
+                    (true, false) => active -= 1,
+                    _ => {}
                 }
                 report.moves += 1;
                 match ev.mv.dir {
@@ -372,7 +388,7 @@ pub mod replay {
             // Hot-potato across step boundaries: if anything is still in
             // flight, the very next step must contain its move — a time
             // gap in the record means a packet rested.
-            if idx < record.moves.len() && record.moves[idx].time > t + 1 {
+            if active > 0 && idx < record.moves.len() && record.moves[idx].time > t + 1 {
                 if let Some(i) = pos.iter().position(std::option::Option::is_some) {
                     return Err(ReplayError::Rested {
                         time: t + 1,

@@ -177,7 +177,7 @@ fn run_segment(
     last: usize,
     tick: &(dyn Fn(u64) + Sync),
 ) -> Result<Box<StreamState>, VerifyError> {
-    let mut s = StreamState::new(instance.problem.num_packets(), streaming);
+    let mut s = StreamState::new(instance, streaming);
     if let Some(idx) = seg.seed {
         let TraceEvent::Snapshot(snap) = &trace.events[idx] else {
             unreachable!("segment seeds are snapshot indices");
@@ -188,6 +188,7 @@ fn run_segment(
     if seg.is_last {
         s.check_trailing(last)?;
     }
+    s.release_tables();
     Ok(Box::new(s))
 }
 

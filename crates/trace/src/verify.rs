@@ -36,7 +36,6 @@ use hotpotato_sim::{replay, ExitKind, MoveEvent, RouteStats, RunRecord, Time, Tr
 use leveled_net::ids::DirectedEdge;
 use leveled_net::{Direction, LeveledNetwork, NodeId};
 use routing_core::{spec, PacketId, RoutingProblem};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which movement model the trace's algorithm obeys.
@@ -215,6 +214,10 @@ pub fn verify_trace(trace: &Trace) -> Result<VerifyReport, VerifyError> {
 /// state replays a trace from the top; [`StreamState::apply_snapshot`]
 /// instead seeds it from a `snapshot` checkpoint so a snapshot-delimited
 /// segment can be replayed independently (the sharded path).
+///
+/// The clock and the cumulative counters wrap instead of overflowing: a
+/// shard seeded from a corrupt snapshot may start them anywhere, and the
+/// shard before it rejects that snapshot at an earlier line.
 pub(crate) struct StreamState {
     pub(crate) n: usize,
     pub(crate) now: Time,
@@ -236,16 +239,16 @@ pub(crate) struct StreamState {
     pub(crate) trivial: usize,
     /// Per-step accumulators, reset at every `step` line.
     batch: Batch,
-    /// Forward moves of the previous step: arrivals into this step's
-    /// nodes, i.e. the admissible safe-deflection recycling pool.
-    prev_forward: HashMap<u32, usize>,
+    /// Edges crossed forward in the previous step: arrivals into this
+    /// step's nodes, i.e. the admissible safe-deflection recycling pool.
+    prev_forward: EdgeSet,
     num_sets: Option<u32>,
     /// Phase announced by the most recent `phase_start` line (snapshots
     /// must agree with it).
     last_phase: Option<u64>,
 }
 
-/// Per-step (batch) accumulators, reset at every `step` line.
+/// Per-step (batch) accumulators, reset in place at every `step` line.
 #[derive(Default)]
 struct Batch {
     moves: u64,
@@ -254,12 +257,19 @@ struct Batch {
     fallback: u64,
     oscillations: u64,
     delivers: u64,
-    /// (slot index) -> line that used it.
-    slots: HashMap<usize, usize>,
+    /// Moves that landed their packet on its destination.
+    landings: u64,
+    /// Identifies this batch in `slots`; bumped by every reset, so the
+    /// reset need not touch the table.
+    stamp: u64,
+    /// Per (edge, direction) slot index: the stamp of the last batch that
+    /// used the slot and the line that used it.
+    slots: Vec<(u64, usize)>,
     /// Edges crossed forward this step — next step's safe-deflection
     /// recycling pool (losers bounce backward over an edge some packet
     /// *arrived* through, and arrivals are the previous step's moves).
-    forward_edges: HashMap<u32, usize>,
+    /// Distinct, because a forward slot is used at most once per step.
+    forward_edges: Vec<u32>,
     /// Safe backward deflections awaiting the recycling check:
     /// (edge, line).
     safe_backward: Vec<(u32, usize)>,
@@ -268,9 +278,105 @@ struct Batch {
     landed: Vec<(u32, usize)>,
 }
 
+impl Batch {
+    fn new(num_edges: usize) -> Self {
+        Batch {
+            stamp: 1,
+            slots: vec![(0, 0); 2 * num_edges],
+            ..Batch::default()
+        }
+    }
+
+    /// Opens the next batch, keeping the tables' allocations.
+    fn reset(&mut self) {
+        let Batch {
+            moves,
+            injections,
+            deflections,
+            fallback,
+            oscillations,
+            delivers,
+            landings,
+            stamp,
+            slots: _,
+            forward_edges,
+            safe_backward,
+            landed,
+        } = self;
+        for counter in [
+            moves,
+            injections,
+            deflections,
+            fallback,
+            oscillations,
+            delivers,
+            landings,
+        ] {
+            *counter = 0;
+        }
+        *stamp += 1;
+        forward_edges.clear();
+        safe_backward.clear();
+        landed.clear();
+    }
+}
+
+/// A set of edge ids: a bitset over the instance's edges for O(1)
+/// membership, plus the members in insertion order, so clearing costs
+/// the members rather than the edges.
+#[derive(Default)]
+struct EdgeSet {
+    bits: Vec<u64>,
+    members: Vec<u32>,
+}
+
+impl EdgeSet {
+    fn new(num_edges: usize) -> Self {
+        EdgeSet {
+            bits: vec![0; num_edges.div_ceil(64)],
+            members: Vec::new(),
+        }
+    }
+
+    fn contains(&self, edge: u32) -> bool {
+        self.bits
+            .get(edge as usize / 64)
+            .is_some_and(|w| w >> (edge % 64) & 1 == 1)
+    }
+
+    /// Adds `edge`; ids past the instance's edges are not kept.
+    fn insert(&mut self, edge: u32) {
+        if let Some(w) = self.bits.get_mut(edge as usize / 64) {
+            let bit = 1 << (edge % 64);
+            if *w & bit == 0 {
+                *w |= bit;
+                self.members.push(edge);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Replaces the members with `edges`.
+    fn assign(&mut self, edges: &[u32]) {
+        for e in self.members.drain(..) {
+            if let Some(w) = self.bits.get_mut(e as usize / 64) {
+                *w = 0;
+            }
+        }
+        for &e in edges {
+            self.insert(e);
+        }
+    }
+}
+
 impl StreamState {
     /// A fresh state: nothing arrived, injected, or delivered yet.
-    pub(crate) fn new(n: usize, streaming: bool) -> Self {
+    pub(crate) fn new(instance: &VerifiedInstance, streaming: bool) -> Self {
+        let n = instance.problem.num_packets();
+        let num_edges = instance.net.num_edges();
         StreamState {
             n,
             now: 0,
@@ -288,8 +394,8 @@ impl StreamState {
             deflections: 0,
             oscillations: 0,
             trivial: 0,
-            batch: Batch::default(),
-            prev_forward: HashMap::new(),
+            batch: Batch::new(num_edges),
+            prev_forward: EdgeSet::new(num_edges),
             num_sets: None,
             last_phase: None,
         }
@@ -302,7 +408,7 @@ impl StreamState {
         model: Model,
         streaming: bool,
     ) -> Result<Self, VerifyError> {
-        let mut s = StreamState::new(instance.problem.num_packets(), streaming);
+        let mut s = StreamState::new(instance, streaming);
         let last = trace.events.len();
         s.run_range(trace, instance, model, 0..last, last, None)?;
         s.check_trailing(last)?;
@@ -390,7 +496,7 @@ impl StreamState {
         self.deflections = snap.deflections;
         self.oscillations = snap.oscillations;
         self.trivial = snap.trivial as usize;
-        self.prev_forward = snap.prev_forward.iter().map(|&e| (e, line)).collect();
+        self.prev_forward.assign(&snap.prev_forward);
         self.num_sets = if snap.num_sets == 0 {
             None
         } else {
@@ -487,11 +593,20 @@ impl StreamState {
                 ),
             );
         }
+        // Equal as sets: same size, every claimed edge in the replayed
+        // pool, and no claimed edge twice (the replayed pool holds each
+        // edge once, so a repeat would stand in for a missing edge).
+        let repeats = || {
+            let mut claimed = snap.prev_forward.clone();
+            claimed.sort_unstable();
+            claimed.windows(2).any(|w| w[0] == w[1])
+        };
         if snap.prev_forward.len() != self.prev_forward.len()
             || snap
                 .prev_forward
                 .iter()
-                .any(|e| !self.prev_forward.contains_key(e))
+                .any(|&e| !self.prev_forward.contains(e))
+            || repeats()
         {
             return fail(
                 line,
@@ -528,6 +643,14 @@ impl StreamState {
             );
         }
         Ok(())
+    }
+
+    /// Frees the per-step tables once a segment is replayed: the sharded
+    /// verifier keeps every segment's final state until all are done and
+    /// reads only its counters and delivery flags.
+    pub(crate) fn release_tables(&mut self) {
+        self.batch = Batch::default();
+        self.prev_forward = EdgeSet::default();
     }
 
     /// The trailing mid-step check: only meaningful at the true end of
@@ -632,15 +755,19 @@ impl StreamState {
                     dir: *dir,
                 };
                 // check: slot-capacity — one packet per (edge, dir) slot per step.
-                if let Some(prev) = self.batch.slots.insert(mv.slot_index(), line) {
+                let stamp = self.batch.stamp;
+                let slot = &mut self.batch.slots[mv.slot_index()];
+                if slot.0 == stamp {
                     return fail(
                         line,
                         format!(
                             "edge {e} {dir:?} slot already used in step {t} (line {prev})",
-                            e = edge.0
+                            e = edge.0,
+                            prev = slot.1
                         ),
                     );
                 }
+                *slot = (stamp, line);
                 let origin = net.move_origin(mv);
                 let target = net.move_target(mv);
                 match kind {
@@ -696,7 +823,7 @@ impl StreamState {
                 match kind {
                     ExitKind::Deflect { safe } => {
                         self.batch.deflections += 1;
-                        self.deflections += 1;
+                        self.deflections = self.deflections.wrapping_add(1);
                         if !safe {
                             self.batch.fallback += 1;
                         } else if *dir == Direction::Backward {
@@ -713,18 +840,18 @@ impl StreamState {
                     }
                     ExitKind::Oscillate => {
                         self.batch.oscillations += 1;
-                        self.oscillations += 1;
+                        self.oscillations = self.oscillations.wrapping_add(1);
                     }
                     _ => {}
                 }
                 match dir {
                     Direction::Forward => {
-                        self.forward += 1;
-                        self.batch.forward_edges.insert(edge.0, line);
+                        self.forward = self.forward.wrapping_add(1);
+                        self.batch.forward_edges.push(edge.0);
                     }
-                    Direction::Backward => self.backward += 1,
+                    Direction::Backward => self.backward = self.backward.wrapping_add(1),
                 }
-                self.moves += 1;
+                self.moves = self.moves.wrapping_add(1);
                 self.batch.moves += 1;
                 self.last_move_step[p] = self.now;
                 let dest = problem.packets()[p].path.dest(net);
@@ -733,6 +860,7 @@ impl StreamState {
                         self.active -= 1;
                     }
                     self.pos[p] = None;
+                    self.batch.landings += 1;
                     self.batch.landed.push((pkt, line));
                 } else {
                     if self.pos[p].is_none() {
@@ -775,21 +903,21 @@ impl StreamState {
                 }
                 self.injected[p] = true;
                 self.delivered[p] = true;
-                self.trivial += 1;
+                self.trivial = self.trivial.wrapping_add(1);
             }
             TraceEvent::Deliver { t, pkt } => {
                 let p = *pkt as usize;
                 if p >= n {
                     return fail(line, format!("packet {pkt} out of range (N={n})"));
                 }
-                if *t != self.now + 1 {
+                if *t != self.now.wrapping_add(1) {
                     return fail(
                         line,
                         format!(
                             "delivery of packet {pkt} at t={t} but arrivals of step {} land \
                              at t={}",
                             self.now,
-                            self.now + 1
+                            self.now.wrapping_add(1)
                         ),
                     );
                 }
@@ -830,7 +958,7 @@ impl StreamState {
                 // forward in the previous step (Lemma 2.1 edge
                 // recycling).
                 for &(edge, defl_line) in &self.batch.safe_backward {
-                    if !self.prev_forward.contains_key(&edge) {
+                    if !self.prev_forward.contains(edge) {
                         return fail(
                             defl_line,
                             format!(
@@ -887,19 +1015,27 @@ impl StreamState {
                     }
                     // check: no-rest — bufferless: every packet in
                     // flight at the start of the step must have moved
-                    // during it.
-                    if let Some(p) = (0..n)
-                        .find(|&p| self.pos[p].is_some() && self.last_move_step[p] != self.now)
-                    {
-                        return fail(
-                            line,
-                            format!("packet {p} rested in step {t} (hot-potato violation)"),
-                        );
+                    // during it. Each move is by a distinct packet that
+                    // was in flight or injected, so the packets in flight
+                    // now number (in flight at the start) + moves −
+                    // (moves by packets in flight at the start) −
+                    // landings: the count equals moves − landings exactly
+                    // when nobody rested. Only a mismatch pays for the
+                    // scan that names the lowest resting packet.
+                    if self.active as u64 != self.batch.moves - self.batch.landings {
+                        if let Some(p) = (0..n)
+                            .find(|&p| self.pos[p].is_some() && self.last_move_step[p] != self.now)
+                        {
+                            return fail(
+                                line,
+                                format!("packet {p} rested in step {t} (hot-potato violation)"),
+                            );
+                        }
                     }
                 }
-                self.now += 1;
-                self.prev_forward = std::mem::take(&mut self.batch.forward_edges);
-                self.batch = Batch::default();
+                self.now = self.now.wrapping_add(1);
+                self.prev_forward.assign(&self.batch.forward_edges);
+                self.batch.reset();
             }
             TraceEvent::Sets { num_sets: k, sets } => {
                 if sets.len() != n {
