@@ -280,12 +280,23 @@ fn observed_run_matches_unobserved_golden() {
 /// Busch router with recording and the active trace on, its JSONL event
 /// stream captured: the shape of the large digest goldens.
 fn busch_run(spec: &str, seed: u64) -> (BuschOutcome, Vec<u8>) {
+    busch_run_with(spec, seed, |_| {})
+}
+
+/// [`busch_run`] with `tweak` applied to the configuration first (the
+/// banded mode, the ablation switches).
+fn busch_run_with(
+    spec: &str,
+    seed: u64,
+    tweak: impl FnOnce(&mut BuschConfig),
+) -> (BuschOutcome, Vec<u8>) {
     let (_, problem, _) = parse_run_spec(spec).unwrap().instantiate().unwrap();
-    let cfg = BuschConfig {
+    let mut cfg = BuschConfig {
         record: true,
         trace: true,
         ..BuschConfig::new(Params::auto(&problem))
     };
+    tweak(&mut cfg);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut trace = JsonlTraceObserver::new(Vec::new());
     let out = BuschRouter::with_config(cfg).route_observed(&problem, &mut rng, &mut trace);
@@ -331,6 +342,46 @@ fn busch_mesh8_transpose_matches_golden() {
         "run must oscillate"
     );
     check_encoded("busch_mesh8_transpose.digest", &busch_digest(&out, &events));
+}
+
+/// The banded mode on the butterfly(10) bit-reversal instance above
+/// (problem seed 42, router rng 7): per-band rng streams and the
+/// band-order merge, pinned as a digest. Banded output is a pure
+/// function of (problem, seed), so the worker count does not matter.
+#[test]
+fn busch_bitrev10_banded_matches_golden() {
+    let (out, events) = busch_run_with("butterfly:10/bitrev/busch/42", 7, |cfg| {
+        cfg.parallel_bands = true;
+    });
+    assert!(out.stats.all_delivered(), "golden run must deliver");
+    assert!(
+        oscillations(out.record.as_ref().unwrap()) > 0,
+        "run must oscillate"
+    );
+    check_encoded("busch_bitrev10_banded.digest", &busch_digest(&out, &events));
+}
+
+/// The eager-injection ablation (`A5`) on butterfly(8) bit-reversal
+/// (router rng 5) with short phases — `m = 4`, `w = 3`, `C/2 = 4`
+/// frontier sets — so packets catch up with their frontiers and wait
+/// there. Every packet is admitted from step 0, so packets of different
+/// frontier sets meet, and the `I_d` meeting count is part of the
+/// pinned invariant line.
+#[test]
+fn busch_eager_injection_matches_golden() {
+    let (out, events) = busch_run_with("butterfly:8/bitrev/busch/3", 5, |cfg| {
+        cfg.params = Params::scaled(4, 3, 0.1, 4);
+        cfg.eager_injection = true;
+    });
+    assert!(
+        out.invariants.cross_set_meetings > 0,
+        "eager injection must let sets meet"
+    );
+    assert!(
+        oscillations(out.record.as_ref().unwrap()) > 0,
+        "run must oscillate"
+    );
+    check_encoded("busch_eager_bitrev8.digest", &busch_digest(&out, &events));
 }
 
 /// Busch on butterfly(5) bit-reversal with `Params::auto`: conflicts
