@@ -245,6 +245,7 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "hotpotato_deliveries_total",
     "hotpotato_deflections_total",
     "hotpotato_deflections_per_packet",
+    "hotpotato_exchange_skipped_total",
     "hotpotato_snapshot_seq",
     "hotpotato_run_finished",
 ];
@@ -573,6 +574,9 @@ hotpotato_moves_total{run=\"a\"} 10\n\
 hotpotato_deliveries_total{run=\"a\"} 0\n\
 # TYPE hotpotato_deflections_total counter\n\
 hotpotato_deflections_total{run=\"a\",kind=\"safe\"} 2\n\
+# TYPE hotpotato_exchange_skipped_total counter\n\
+hotpotato_exchange_skipped_total{run=\"a\",kind=\"fill\"} 0\n\
+hotpotato_exchange_skipped_total{run=\"a\",kind=\"flip\"} 1\n\
 # TYPE hotpotato_deflections_per_packet histogram\n\
 hotpotato_deflections_per_packet_bucket{run=\"a\",le=\"0\"} 5\n\
 hotpotato_deflections_per_packet_bucket{run=\"a\",le=\"1\"} 8\n\

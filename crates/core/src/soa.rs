@@ -35,6 +35,13 @@
 //! deterministic. Deferred state updates are equivalent to in-place
 //! writes because all same-step reads of a packet's state happen at its
 //! own node, inside its own band.
+//!
+//! Both modes skip work the schedule makes predictable: idle stretches
+//! ([`SoaEngine::skip_idle`]), and wait-state stretches in which every
+//! packet oscillates until the phase ends. After three such steps the
+//! network is period-2, so the driver repeats the last two steps in
+//! closed form ([`SoaEngine::repeat_last_two_steps`]) and advances each
+//! band's rng by the draws those steps made (`DESIGN.md` §11).
 
 use crate::invariants::{check_phase_end, InvariantReport, PhaseAuditScratch};
 use crate::router::{BuschConfig, BuschOutcome};
@@ -125,6 +132,15 @@ struct BandCtx {
     excitations: u64,
     cross_set_meetings: u64,
     unsafe_deflections: u64,
+    /// Arrivals at nodes with two or more arrivals this step. In a step
+    /// where every packet oscillates, each such arrival wants its own
+    /// slot, so `resolve_into` breaks one singleton tie per arrival —
+    /// one `next_u64` each — and nothing else draws: this is then the
+    /// step's whole rng use.
+    group_arrivals: u64,
+    /// `(group_arrivals, cross_set_meetings)` of the last two steps,
+    /// indexed by step parity: what a fast-forward repeats.
+    last_two: [(u64, u64); 2],
 }
 
 impl BandCtx {
@@ -139,7 +155,20 @@ impl BandCtx {
             excitations: 0,
             cross_set_meetings: 0,
             unsafe_deflections: 0,
+            group_arrivals: 0,
+            last_two: [(0, 0); 2],
         }
+    }
+
+    /// Replays the rng use and the `I_d` meetings of the last two steps
+    /// `pairs` times: what the band would have drawn and counted had it
+    /// dispatched a fast-forwarded stretch.
+    fn repeat_tallies<R: Rng + ?Sized>(&self, pairs: u64, rng: &mut R) -> u64 {
+        let [(d0, m0), (d1, m1)] = self.last_two;
+        for _ in 0..pairs * (d0 + d1) {
+            rng.next_u64();
+        }
+        pairs * (m0 + m1)
     }
 }
 
@@ -243,6 +272,8 @@ fn dispatch_band<R: Rng + ?Sized>(
             }
             ctx.tags_buf.push((tag, twe & ((1 << 30) - 1)));
         }
+
+        ctx.group_arrivals += arrivals.len() as u64;
 
         // I_d: packets of different frontier-sets must not meet.
         if sc.check_invariants && arrivals.len() > 1 {
@@ -475,6 +506,9 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         (params.q * (1u64 << 53) as f64).ceil() as u64
     };
     let exc_always = params.q >= 1.0;
+    // Consecutive dispatched steps, ending at the last one, in which
+    // every packet in flight oscillated (see the fast-forward below).
+    let mut oscillating_run = 0u32;
 
     while !sim.is_done() && sim.now() < max_steps {
         let t = sim.now();
@@ -513,6 +547,40 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
                     sim.skip_idle(skip_to - t);
                     continue;
                 }
+            }
+        }
+
+        // Fast-forward wait-state stretches (DESIGN.md §11). After a
+        // step in which every packet oscillated, every packet is in the
+        // wait state and wants its own slot, so until the next phase
+        // start nothing excites, deflects, injects or delivers, and the
+        // network is period-2. Once three such steps are behind us the
+        // last two are settled (deviation stacks, arrival orders), so
+        // repeat them in closed form up to the phase's last step, which
+        // is dispatched — audit and all — as usual. Each band's rng and
+        // meeting count advance by what its last two steps used.
+        if oscillating_run >= 3 && !sc.phase_start && ready.is_empty() {
+            let phase_last = (phase + 1) * phase_len - 1;
+            let next_due = agenda.last().map_or(u64::MAX, |&(due, _)| due);
+            let n = (phase_last.min(max_steps) - t) & !1;
+            let start = timing.then(std::time::Instant::now);
+            if next_due > phase_last && n > 0 && sim.repeat_last_two_steps(n) {
+                let pairs = n / 2;
+                if banded {
+                    for band in &bands {
+                        let mut b = band.try_lock().expect("bands are uncontended");
+                        let BandState { rng: band_rng, ctx } = &mut *b;
+                        invariants.cross_set_meetings += ctx.repeat_tallies(pairs, band_rng);
+                    }
+                } else {
+                    invariants.cross_set_meetings += solo.repeat_tallies(pairs, rng);
+                }
+                total_moves += n * sim.active_count() as u64;
+                if let Some(start) = start {
+                    sim.observer_mut()
+                        .on_section(Section::Kinematics, start.elapsed().as_nanos() as u64);
+                }
+                continue;
             }
         }
 
@@ -674,7 +742,10 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
                 }
                 ctx.updates.clear();
                 excitations += std::mem::take(&mut ctx.excitations);
-                invariants.cross_set_meetings += std::mem::take(&mut ctx.cross_set_meetings);
+                let meetings = std::mem::take(&mut ctx.cross_set_meetings);
+                ctx.last_two[(t & 1) as usize] =
+                    (std::mem::take(&mut ctx.group_arrivals), meetings);
+                invariants.cross_set_meetings += meetings;
                 invariants.unsafe_deflections += std::mem::take(&mut ctx.unsafe_deflections);
             };
             if banded {
@@ -733,6 +804,17 @@ pub(crate) fn route_soa<R: Rng + ?Sized, O: RouteObserver + ?Sized>(
         drop(sh);
         let report = sim.finish_step().expect("all arrivals staged");
         total_moves += report.moved as u64;
+        // `moved` counts injections too, so `moved == oscillations`
+        // also rules them out.
+        let all_oscillated = report.moved > 0
+            && report.moved == report.oscillations
+            && report.absorbed == 0
+            && !sc.phase_start;
+        oscillating_run = if all_oscillated {
+            oscillating_run + 1
+        } else {
+            0
+        };
         let section_start = section_start.map(|start| {
             let now = std::time::Instant::now();
             sim.observer_mut()

@@ -431,6 +431,9 @@ pub struct SoaEngine<O = NoopObserver> {
     slot_words: Vec<u64>,
     /// The step's committed staged exits, packed per [`pack_staged`].
     staged: Vec<u64>,
+    /// The staged lists of the last two committed steps, indexed by step
+    /// parity: what [`SoaEngine::repeat_last_two_steps`] replays.
+    retained: [Vec<u64>; 2],
     /// Arrivals staged this step (exits, not injections).
     staged_arrivals: u32,
     active_list: Vec<u32>,
@@ -517,6 +520,7 @@ impl<O: RouteObserver> SoaEngine<O> {
             status: vec![STATUS_PENDING; n],
             slot_words: vec![0; (2 * ne).div_ceil(64)],
             staged: Vec::new(),
+            retained: [Vec::new(), Vec::new()],
             staged_arrivals: 0,
             active_list: Vec::with_capacity(n),
             pending_list: (0..n as u32).collect(),
@@ -875,6 +879,9 @@ impl<O: RouteObserver> SoaEngine<O> {
         for &e in &self.staged {
             bit_clear(&mut self.slot_words, staged_mv(e));
         }
+        // Retain the list under the step's parity and reuse the buffer
+        // it displaces: a swap, not a copy.
+        std::mem::swap(&mut self.staged, &mut self.retained[(step & 1) as usize]);
         self.staged.clear();
         self.staged_arrivals = 0;
 
@@ -936,6 +943,78 @@ impl<O: RouteObserver> SoaEngine<O> {
             self.observer.on_step_end(self.now, &report, active);
             self.now += 1;
         }
+    }
+
+    /// Repeats the last two committed steps `n` more times in closed
+    /// form, for even `n`: step `s` re-emits the staged list of step
+    /// `s − 2`. Emits exactly what `n` calls of
+    /// [`SoaEngine::finish_step`] would for such a stretch — each exit
+    /// as a [`RunRecord`] move and an [`RouteObserver::on_move`] call, a
+    /// [`StepReport`] with `moved == oscillations == len`, one
+    /// active-trace sample and one [`RouteObserver::on_step_end`] call
+    /// per step — and touches no flight row, deviation arena or bitset.
+    ///
+    /// That is only right when the network really is period-2: every
+    /// packet in flight oscillates on its wait edge, each wants its own
+    /// slot, and nothing injects, deflects or delivers (the Busch
+    /// driver's wait state between its third all-oscillation step and
+    /// the phase end; see `DESIGN.md` §11). Then one oscillation pushes
+    /// and the next pops each packet's deviation stack, positions and
+    /// last moves return every two steps, and so does each node's
+    /// arrival order — so the state after the stretch is the state
+    /// before it, which is why nothing needs to be written. The caller
+    /// owes that argument; the engine checks what it can see cheaply:
+    /// nothing is staged, `n` is even, and both retained lists are
+    /// non-empty, equally long, cover every arrival, and hold
+    /// oscillations only. If any check fails it returns `false` and
+    /// advances nothing.
+    // lint: hot-path
+    pub fn repeat_last_two_steps(&mut self, n: u64) -> bool {
+        let [even, odd] = &self.retained;
+        let oscillations_only =
+            |list: &[u64]| list.iter().all(|&e| staged_kind(e) == KIND_OSCILLATE);
+        if !n.is_multiple_of(2)
+            || !self.staged.is_empty()
+            || even.is_empty()
+            || even.len() != odd.len()
+            || even.len() != self.shared.arrivals_count as usize
+            || !oscillations_only(even)
+            || !oscillations_only(odd)
+        {
+            return false;
+        }
+        let active = self.active_list.len();
+        let report = StepReport {
+            moved: even.len(),
+            oscillations: even.len(),
+            ..StepReport::default()
+        };
+        for _ in 0..n {
+            let step = self.now;
+            let list = &self.retained[(step & 1) as usize];
+            if let Some(rec) = self.record.as_mut() {
+                rec.moves.extend(list.iter().map(|&e| MoveEvent {
+                    time: step,
+                    pkt: PacketId(staged_pkt(e)),
+                    mv: unpack_move(staged_mv(e)),
+                    kind: ExitKind::Oscillate,
+                }));
+            }
+            for &e in list {
+                self.observer.on_move(
+                    step,
+                    staged_pkt(e),
+                    unpack_move(staged_mv(e)),
+                    ExitKind::Oscillate,
+                );
+            }
+            self.now += 1;
+            if let Some(trace) = self.stats.active_trace.as_mut() {
+                trace.push(active as u32);
+            }
+            self.observer.on_step_end(step, &report, active);
+        }
+        true
     }
 
     /// Consumes the engine and returns the statistics together with the
@@ -1177,6 +1256,60 @@ mod tests {
         assert_eq!(sim.shared().flight[0].node, 2);
         assert_eq!(before, after);
         assert_eq!(sim.stats().deflections[0], 0);
+    }
+
+    #[test]
+    fn repeating_two_oscillation_steps_matches_dispatching_them() {
+        // Two engines bring a packet into a wait-state oscillation on
+        // edge 0; one then dispatches four more oscillation steps, the
+        // other repeats its last two steps twice in closed form.
+        let run = |repeat: bool| {
+            let prob = line_problem(vec![vec![0, 1, 2, 3, 4]]);
+            let net = prob.network_arc();
+            let mut sim: SoaEngine = SoaEngine::new(prob, true, true, NoopObserver);
+            sim.try_inject(0);
+            sim.finish_step().unwrap();
+            let back = DirectedEdge::backward(EdgeId(0));
+            let mut band = BandStage::new(net);
+            let mut oscillate_twice = |sim: &mut SoaEngine| {
+                step(sim, &mut band, &[(0, back, KIND_OSCILLATE)]);
+                step(sim, &mut band, &[(0, back.reversed(), KIND_OSCILLATE)]);
+            };
+            oscillate_twice(&mut sim);
+            assert!(!sim.repeat_last_two_steps(3), "odd counts are refused");
+            if repeat {
+                assert!(sim.repeat_last_two_steps(4));
+            } else {
+                oscillate_twice(&mut sim);
+                oscillate_twice(&mut sim);
+            }
+            let f = sim.shared().flight[0];
+            let (stats, record) = sim.into_parts();
+            (
+                (f.node, f.last_move, f.dev_depth),
+                stats.steps_run,
+                stats.active_trace,
+                stats.max_deviation,
+                record.unwrap().moves,
+            )
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn repeat_refuses_steps_that_are_not_all_oscillations() {
+        let prob = line_problem(vec![vec![0, 1, 2, 3, 4]]);
+        let net = prob.network_arc();
+        let mut sim: SoaEngine = SoaEngine::new(prob, false, false, NoopObserver);
+        assert!(!sim.repeat_last_two_steps(2), "nothing retained yet");
+        sim.try_inject(0);
+        sim.finish_step().unwrap();
+        let mut band = BandStage::new(net);
+        let back = DirectedEdge::backward(EdgeId(0));
+        step(&mut sim, &mut band, &[(0, back, KIND_OSCILLATE)]);
+        // The other retained list holds the injection.
+        assert!(!sim.repeat_last_two_steps(2));
+        assert_eq!(sim.now(), 2, "a refused repeat advances nothing");
     }
 
     #[test]

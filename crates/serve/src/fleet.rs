@@ -94,6 +94,10 @@ pub struct FleetSnapshot {
     pub elapsed_ms: u64,
     /// True once every run completed and the pool quiesced.
     pub finished: bool,
+    /// The coordinator's skipped publishes as of this snapshot:
+    /// `(fills, flips)` dropped or retried because a reader held a
+    /// buffer (see `SnapshotPublisher::publish_with`).
+    pub skipped: (u64, u64),
 }
 
 impl FleetSnapshot {
@@ -107,6 +111,7 @@ impl FleetSnapshot {
             errors: Vec::new(),
             elapsed_ms: 0,
             finished: false,
+            skipped: (0, 0),
         }
     }
 
@@ -499,6 +504,20 @@ impl FleetService {
         );
 
         w.family(
+            "hotpotato_exchange_skipped_total",
+            "Snapshot publishes skipped because a reader held a buffer, by half \
+             (fill = the snapshot was dropped, flip = its flip was retried).",
+            Kind::Counter,
+        );
+        for (kind, v) in [("fill", s.skipped.0), ("flip", s.skipped.1)] {
+            w.sample(
+                "hotpotato_exchange_skipped_total",
+                &[("run", "fleet"), ("kind", kind)],
+                v as f64,
+            );
+        }
+
+        w.family(
             "hotpotato_snapshot_seq",
             "Sequence number of the served snapshot.",
             Kind::Gauge,
@@ -670,11 +689,13 @@ fn coordinate(
             errors: errors.clone(),
             elapsed_ms: started.elapsed().as_millis() as u64,
             finished: false,
+            skipped: publisher.skipped(),
         };
         publisher.publish_with(|s| *s = snap);
     }
     pool.shutdown();
     let elapsed_ms = started.elapsed().as_millis() as u64;
+    let skipped = publisher.skipped();
     publisher.flush_with(|s| {
         *s = FleetSnapshot {
             agg: agg.clone(),
@@ -685,6 +706,7 @@ fn coordinate(
             errors: errors.clone(),
             elapsed_ms,
             finished: true,
+            skipped,
         }
     });
 }
@@ -796,6 +818,7 @@ mod tests {
             "hotpotato_deliveries_total",
             "hotpotato_deflections_total",
             "hotpotato_deflections_per_packet",
+            "hotpotato_exchange_skipped_total",
             "hotpotato_snapshot_seq",
             "hotpotato_run_finished",
             "hotpotato_fleet_runs_total",

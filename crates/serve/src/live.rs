@@ -87,6 +87,11 @@ pub struct LiveSnapshot {
     pub arrivals: u64,
     /// Streaming: packets dropped by admission control (queue full).
     pub drops: u64,
+    /// The publisher's skipped publishes as of this snapshot, `(fills,
+    /// flips)`: a skipped fill dropped that snapshot (a reader held the
+    /// back buffer), a skipped flip was retried on the next publish (a
+    /// reader held the front index).
+    pub skipped: (u64, u64),
     /// Deliveries counted into the latency histogram.
     pub lat_count: u64,
     /// Sum of all counted delivery latencies (steps).
@@ -148,6 +153,7 @@ impl LiveSnapshot {
             phases: 0,
             arrivals: 0,
             drops: 0,
+            skipped: (0, 0),
             lat_count: 0,
             lat_sum: 0,
             lat_hist: [0; LAT_BUCKETS],
@@ -196,6 +202,8 @@ struct Counts {
     phases: u64,
     arrivals: u64,
     drops: u64,
+    /// The publisher's skip counts as of the last fill.
+    skipped: (u64, u64),
 }
 
 /// Incremental delivery-latency aggregates: the histogram, the running
@@ -257,6 +265,7 @@ fn fill_snapshot(
     snap.phases = counts.phases;
     snap.arrivals = counts.arrivals;
     snap.drops = counts.drops;
+    snap.skipped = counts.skipped;
     snap.lat_count = latency.count;
     snap.lat_sum = latency.sum;
     snap.lat_hist = latency.hist;
@@ -378,6 +387,7 @@ impl LiveObserver {
             latency,
             ..
         } = &mut self;
+        counts.skipped = publisher.skipped();
         publisher.flush_with(|snap| {
             fill_snapshot(snap, counts, defl_hist, latency, metrics, agg, true);
         });
@@ -397,6 +407,7 @@ impl LiveObserver {
                 latency,
                 ..
             } = self;
+            counts.skipped = publisher.skipped();
             publisher.publish_with(|snap| {
                 fill_snapshot(snap, counts, defl_hist, latency, metrics, agg, false);
             });
@@ -570,5 +581,24 @@ mod tests {
         assert_eq!(hist.iter().sum::<u64>(), counts.len() as u64);
         // 300 and 257 overflow the last bound.
         assert_eq!(hist[DEFL_BUCKETS - 1], 2);
+    }
+
+    #[test]
+    fn skipped_publishes_reach_the_next_snapshot() {
+        let (_, problem, _) = routing_core::spec::parse_run_spec("bf:3/bitrev/busch/1")
+            .unwrap()
+            .instantiate()
+            .unwrap();
+        let (mut live, reader) = LiveObserver::new(&problem, 1, 8);
+        let report = StepReport::default();
+        reader.acquire(|_, _| {
+            // The first publish fills the free slot and flips it front;
+            // the second finds its back slot (the one held here) locked.
+            live.on_step_end(0, &report, 0);
+            live.on_step_end(1, &report, 0);
+        });
+        assert_eq!(live.skipped_publishes(), (1, 0));
+        live.on_step_end(2, &report, 0);
+        assert_eq!(reader.acquire(|_, s| s.skipped), (1, 0));
     }
 }

@@ -340,6 +340,22 @@ impl Service {
         }
 
         w.family(
+            "hotpotato_exchange_skipped_total",
+            "Snapshot publishes skipped because a reader held a buffer, by half \
+             (fill = the snapshot was dropped, flip = its flip was retried).",
+            Kind::Counter,
+        );
+        for (run, _, s) in &snaps {
+            for (kind, v) in [("fill", s.skipped.0), ("flip", s.skipped.1)] {
+                w.sample(
+                    "hotpotato_exchange_skipped_total",
+                    &[("run", run), ("kind", kind)],
+                    v as f64,
+                );
+            }
+        }
+
+        w.family(
             "hotpotato_deflections_per_packet",
             "Distribution of per-packet deflection counts.",
             Kind::Histogram,

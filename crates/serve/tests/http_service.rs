@@ -84,6 +84,14 @@ fn final_metrics_match_route_stats_exactly() {
         metric_value(&text, "hotpotato_run_finished", &run_label),
         1.0
     );
+    for kind in ["fill", "flip"] {
+        let skipped = metric_value(
+            &text,
+            "hotpotato_exchange_skipped_total",
+            &format!("{run_label},kind=\"{kind}\""),
+        );
+        assert!(skipped >= 0.0, "{kind}: {skipped}");
+    }
     assert_eq!(
         metric_value(&text, "hotpotato_active_packets", &run_label),
         0.0

@@ -70,6 +70,9 @@ pub struct Analysis {
     pub steps: u64,
     /// Packets (from meta or the largest id seen + 1).
     pub packets: usize,
+    /// Events naming a packet id at or beyond the meta line's `packets`
+    /// (always 0 for a bare trace, whose universe is the ids it names).
+    pub out_of_range_events: u64,
     /// Total moves.
     pub moves: u64,
     /// Forward moves.
@@ -131,16 +134,28 @@ pub fn analyze(trace: &Trace) -> Analysis {
         reconstruct(m).ok()
     });
 
-    // Packet universe: meta if present, otherwise max id seen + 1.
-    let mut n = trace.meta().map_or(0, |m| m.packets as usize);
-    for ev in &trace.events {
-        if let TraceEvent::Move { pkt, .. }
+    // Packet universe: the meta line's `packets` when present, otherwise
+    // the largest id seen + 1. With a meta line, an event naming a larger
+    // id names no packet of the instance: it is counted, still enters the
+    // stream totals, and is left out of every per-packet view — which is
+    // never sized from it (one move naming a packet near `u32::MAX` would
+    // otherwise ask for tens of GB).
+    let named = trace.events.iter().filter_map(|ev| match *ev {
+        TraceEvent::Move { pkt, .. }
         | TraceEvent::Trivial { pkt, .. }
-        | TraceEvent::Deliver { pkt, .. } = ev
-        {
-            n = n.max(*pkt as usize + 1);
+        | TraceEvent::Deliver { pkt, .. }
+        | TraceEvent::Arrival { pkt, .. }
+        | TraceEvent::Drop { pkt, .. } => Some(pkt as usize),
+        _ => None,
+    });
+    let n = match trace.meta() {
+        Some(m) => {
+            let n = m.packets as usize;
+            a.out_of_range_events = named.filter(|&p| p >= n).count() as u64;
+            n
         }
-    }
+        None => named.max().map_or(0, |p| p + 1),
+    };
     a.packets = n;
 
     // Phase boundaries: (phase id, first step after the phase).
@@ -430,6 +445,7 @@ impl Analysis {
                 "safe_deflections": self.safe_deflections,
                 "fallback_deflections": self.deflections - self.safe_deflections,
                 "oscillations": self.oscillations,
+                "out_of_range_events": self.out_of_range_events,
             }),
             "latency": json!({
                 "delivered": lat.len() as u64,
@@ -589,6 +605,39 @@ mod tests {
         assert_eq!(report["totals"]["moves"].as_u64(), Some(2));
         assert_eq!(report["latency"]["max"].as_u64(), Some(2));
         assert!(report["scaling"].is_null());
+    }
+
+    #[test]
+    fn ids_beyond_the_meta_universe_are_counted_not_allocated() {
+        // One move names a packet near `u32::MAX`: sizing the per-packet
+        // vectors from it would ask for tens of GB.
+        let meta = crate::schema::meta_line(&crate::schema::Meta {
+            schema: crate::schema::SCHEMA_VERSION,
+            topo: "bf:3".into(),
+            workload: "bitrev".into(),
+            algo: "busch".into(),
+            seed: 1,
+            arrival: String::new(),
+            packets: 8,
+            levels: 4,
+            congestion: 2,
+            dilation: 3,
+        });
+        let lines = [
+            meta.as_str(),
+            r#"{"ev":"move","t":0,"pkt":0,"edge":0,"dir":"F","kind":"inj"}"#,
+            r#"{"ev":"move","t":1,"pkt":4294967295,"edge":1,"dir":"F","kind":"adv"}"#,
+            r#"{"ev":"deliver","t":2,"pkt":4294967294}"#,
+        ];
+        let trace = Trace::parse(&(lines.join("\n") + "\n")).unwrap();
+        let a = analyze(&trace);
+        assert_eq!(a.packets, 8);
+        assert_eq!(a.timelines.len(), 8);
+        assert_eq!(a.out_of_range_events, 2);
+        assert_eq!(a.moves, 2, "stream totals still count every event");
+        assert!(a.timelines.iter().all(|t| t.delivered_at.is_none()));
+        let report = a.to_json();
+        assert_eq!(report["totals"]["out_of_range_events"].as_u64(), Some(2));
     }
 
     #[test]
